@@ -98,7 +98,6 @@ def _cmd_width(args, runner, label: str) -> int:
             symmetry_breaking=not args.no_symmetry_breaking,
             decision_limit=args.decision_limit,
             timeout=args.timeout,
-            parallel=args.parallel,
         )
     except SearchLimitExceeded as exc:
         for step in exc.trace:
@@ -204,7 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
             action="store_true",
             help="stop the schedule at the w=2 step",
         )
-        sub.add_argument("--parallel", action="store_true", help="run schedule steps concurrently")
         _add_solver_flags(sub)
         sub.set_defaults(func=lambda args, r=runner, l=label: _cmd_width(args, r, l))
 

@@ -9,7 +9,6 @@ stops after the w = 2 step.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .engine import SolveReport, Status, Strategy
@@ -110,15 +109,12 @@ def _run_schedule(
     symmetry_breaking: bool,
     decision_limit: int | None,
     timeout: float | None,
-    parallel: bool,
 ) -> WidthResult:
     if g.n < 1:
         raise ValueError("the schedule needs a graph with at least one vertex")
-    pairs = _schedule_pairs(g.n, strict)
-
-    def run(pair: tuple[int, int]) -> ScheduleStep:
-        m, w = pair
-        return decide(
+    trace: list[ScheduleStep] = []
+    for m, w in _schedule_pairs(g.n, strict):
+        step = decide(
             g,
             m,
             w,
@@ -127,27 +123,11 @@ def _run_schedule(
             decision_limit=decision_limit,
             timeout=timeout,
         )
-
-    trace: list[ScheduleStep] = []
-    if parallel:
-        # Steps are independent instances; run them all and keep the
-        # prefix up to the first UNSAT. Later results are discarded.
-        with ThreadPoolExecutor() as pool:
-            steps = list(pool.map(run, pairs))
-        for step in steps:
-            trace.append(step)
-            if step.status is Status.UNSAT:
-                break
-            if step.status is Status.INDETERMINATE:
-                raise SearchLimitExceeded(step, trace)
-    else:
-        for pair in pairs:
-            step = run(pair)
-            trace.append(step)
-            if step.status is Status.UNSAT:
-                break
-            if step.status is Status.INDETERMINATE:
-                raise SearchLimitExceeded(step, trace)
+        trace.append(step)
+        if step.status is Status.UNSAT:
+            break
+        if step.status is Status.INDETERMINATE:
+            raise SearchLimitExceeded(step, trace)
 
     last_sat = None
     for step in trace:
@@ -166,7 +146,6 @@ def treewidth(
     symmetry_breaking: bool = True,
     decision_limit: int | None = None,
     timeout: float | None = None,
-    parallel: bool = False,
 ) -> WidthResult:
     """Minimum decomposition width of g, with a validated witness."""
     return _run_schedule(
@@ -176,7 +155,6 @@ def treewidth(
         symmetry_breaking,
         decision_limit,
         timeout,
-        parallel,
     )
 
 
@@ -186,7 +164,6 @@ def pathwidth(
     symmetry_breaking: bool = True,
     decision_limit: int | None = None,
     timeout: float | None = None,
-    parallel: bool = False,
 ) -> WidthResult:
     """Minimum path-decomposition width of g, with a validated witness."""
     return _run_schedule(
@@ -196,7 +173,6 @@ def pathwidth(
         symmetry_breaking,
         decision_limit,
         timeout,
-        parallel,
     )
 
 

@@ -5,8 +5,9 @@ Domains are bitmasks over small nonnegative integers, so bound updates,
 trailing, and restoration are single integer operations. An integer
 variable holds one mask (its current domain); a set variable holds two
 (``required`` elements certainly in the set, ``possible`` elements not
-yet excluded). All engine iteration is in ascending value order, which
-makes runs deterministic.
+yet excluded), each with its own watcher list, so a propagator that
+reads only one bound is not woken by changes to the other. All engine
+iteration is in ascending value order, which makes runs deterministic.
 """
 
 from __future__ import annotations
@@ -81,7 +82,7 @@ class IntVar:
             raise Inconsistent
         self.solver._trail.append((self, self.mask))
         self.mask = new_mask
-        self.solver._wake(self)
+        self.solver._wake(self.watchers)
 
     def _restore(self, saved: int) -> None:
         self.mask = saved
@@ -103,7 +104,16 @@ class IntVar:
 class SetVar:
     """Set variable with subset bounds over universe {0..n-1}."""
 
-    __slots__ = ("solver", "index", "name", "required", "possible", "universe", "watchers")
+    __slots__ = (
+        "solver",
+        "index",
+        "name",
+        "required",
+        "possible",
+        "universe",
+        "required_watchers",
+        "possible_watchers",
+    )
 
     def __init__(self, solver: "Solver", index: int, universe: int, name: str):
         self.solver = solver
@@ -112,7 +122,9 @@ class SetVar:
         self.required = 0
         self.possible = universe
         self.universe = universe
-        self.watchers: list["Propagator"] = []
+        # Woken when ``required`` grows / when ``possible`` shrinks.
+        self.required_watchers: list["Propagator"] = []
+        self.possible_watchers: list["Propagator"] = []
 
     def __repr__(self) -> str:
         return (
@@ -143,7 +155,7 @@ class SetVar:
             raise Inconsistent
         self._store()
         self.required = new_req
-        self.solver._wake(self)
+        self.solver._wake(self.required_watchers)
 
     def restrict(self, mask: int) -> None:
         """Exclude everything outside mask."""
@@ -154,7 +166,7 @@ class SetVar:
             raise Inconsistent
         self._store()
         self.possible = new_pos
-        self.solver._wake(self)
+        self.solver._wake(self.possible_watchers)
 
     def include(self, e: int) -> None:
         self.require_mask(1 << e)
@@ -175,14 +187,34 @@ class Propagator:
     assignment, used to audit witnesses independently of the filtering
     code). Filtering must be sound and must reach a fixpoint under
     re-invocation.
+
+    Subscriptions: every variable in ``watch`` wakes the propagator on
+    any change (a set variable on either bound). A set variable listed
+    only in ``required`` or only in ``possible`` wakes it only when that
+    bound changes. A propagator may leave out a set event only when its
+    pruning depends on neither of that event's bounds: leaving out one
+    it needs stops propagation short of the fixpoint.
     """
 
     __slots__ = ("queued",)
 
-    def __init__(self, watch: Iterable[IntVar | SetVar]):
+    def __init__(
+        self,
+        watch: Iterable[IntVar | SetVar] = (),
+        required: Iterable[SetVar] = (),
+        possible: Iterable[SetVar] = (),
+    ):
         self.queued = False
         for var in watch:
-            var.watchers.append(self)
+            if isinstance(var, SetVar):
+                var.required_watchers.append(self)
+                var.possible_watchers.append(self)
+            else:
+                var.watchers.append(self)
+        for var in required:
+            var.required_watchers.append(self)
+        for var in possible:
+            var.possible_watchers.append(self)
 
     def propagate(self) -> None:
         raise NotImplementedError
@@ -265,8 +297,8 @@ class Solver:
             prop.queued = True
             self._queue.append(prop)
 
-    def _wake(self, var: IntVar | SetVar) -> None:
-        for prop in var.watchers:
+    def _wake(self, watchers: list[Propagator]) -> None:
+        for prop in watchers:
             if not prop.queued:
                 prop.queued = True
                 self._queue.append(prop)

@@ -16,12 +16,20 @@ edge list (graph input)
 
 Blank lines are tolerated everywhere. External files are 1-based; the
 in-memory types are 0-based, and the conversion happens only here.
+Graph inputs may declare at most ``MAX_VERTICES`` vertices.
 """
 
 from __future__ import annotations
 
 from .graphs import Graph, TreeDecomposition, oriented_at_zero
 from .validator import validate
+
+
+# Largest vertex count a graph input may declare. Far beyond what the
+# solver and the oracles can handle, yet large enough to validate
+# decompositions of big graphs, and it stops a header alone from making
+# Graph.from_edges allocate one adjacency set per declared vertex.
+MAX_VERTICES = 10_000
 
 
 class ParseError(ValueError):
@@ -38,6 +46,11 @@ def _int_fields(fields: list[str], line_no: int) -> list[int]:
         return [int(f) for f in fields]
     except ValueError:
         raise ParseError(line_no, f"expected integers, got {' '.join(fields)!r}") from None
+
+
+def _check_vertex_count(n: int, line_no: int) -> None:
+    if n > MAX_VERTICES:
+        raise ParseError(line_no, f"vertex count {n} exceeds the limit of {MAX_VERTICES}")
 
 
 def parse_gr(text: str) -> Graph:
@@ -65,6 +78,7 @@ def parse_gr(text: str) -> Graph:
             n, declared = _int_fields(fields[2:], line_no)
             if n < 0 or declared < 0:
                 raise ParseError(line_no, "negative counts in header")
+            _check_vertex_count(n, line_no)
             header_line = line_no
             continue
         if n is None:
@@ -102,6 +116,7 @@ def parse_edge_list(text: str) -> Graph:
             (n,) = _int_fields(fields, line_no)
             if n < 0:
                 raise ParseError(line_no, "negative vertex count")
+            _check_vertex_count(n, line_no)
             continue
         if len(fields) != 2:
             raise ParseError(line_no, f"expected '<u> <v>', got {line!r}")

@@ -4,10 +4,13 @@ into engine variables and propagators, and decode solved instances.
 Variables per instance: one set variable per decomposition node, parent
 and depth integers per node, one 0/1 location variable per (edge, node)
 pair, and one shared-vertices set variable per unordered node pair
-(aliased for both orders). Symmetry breaking channels each node to a
-row of 0/1 variables and orders the rows lexicographically: every
-consecutive pair for free-form trees, first against last for
-path-shaped instances (whose only node symmetry is reversal).
+(aliased for both orders). The unary facts are part of the initial
+domains: node 0 is the root at depth 0, no node is its own parent, and
+on a path node i hangs from node i - 1. One running-intersection
+propagator per child node covers every other node. Symmetry breaking
+orders node sets lexicographically on their membership vectors, vertex
+0 first: every consecutive pair for free-form trees, first against last
+for path-shaped instances (whose only node symmetry is reversal).
 """
 
 from __future__ import annotations
@@ -38,7 +41,6 @@ class ModelInstance:
     locations: list[IntVar]  # flattened, edge-major then node index
     location_index: dict[tuple[int, int, int], IntVar]  # (u, v, k) with u < v
     intersections: dict[tuple[int, int], SetVar]  # keyed (i, j) with i < j
-    bits: list[list[IntVar]] | None
     decision_vars: list[IntVar]
 
     def intersection(self, i: int, j: int) -> SetVar:
@@ -75,8 +77,15 @@ def build_model(
 
     solver = Solver()
     node_sets = [solver.set_var(g.n, f"node{i}") for i in range(m)]
-    parents = [solver.int_var(0, m - 1, f"parent{i}") for i in range(m)]
-    depths = [solver.int_var(0, m - 1, f"depth{i}") for i in range(m)]
+    parents = [solver.int_var(0, 0, "parent0")]
+    for i in range(1, m):
+        if variant is Variant.PATH:
+            parents.append(solver.int_var(i - 1, i - 1, f"parent{i}"))
+        else:
+            parents.append(solver.int_var(0, m - 1, f"parent{i}"))
+            parents[i].remove(i)
+    depths = [solver.int_var(0, 0, "depth0")]
+    depths += [solver.int_var(0, m - 1, f"depth{i}") for i in range(1, m)]
 
     for x in node_sets:
         solver.post(props.CardinalityAtMost(x, w))
@@ -89,10 +98,7 @@ def build_model(
             intersections[(i, j)] = shared
             solver.post(props.IntersectionOf(shared, node_sets[i], node_sets[j]))
 
-    solver.post(props.FixValue(parents[0], 0))
-    solver.post(props.FixValue(depths[0], 0))
     for i in range(1, m):
-        solver.post(props.ForbidValue(parents[i], i))
         solver.post(props.ParentDepth(i, parents[i], depths))
 
     locations: list[IntVar] = []
@@ -107,34 +113,21 @@ def build_model(
             solver.post(props.EdgeInNode(bit, u, v, node_sets[k]))
         solver.post(props.AtLeastOne(row))
 
-    for i in range(m):
-        for k in range(m):
-            if i == k:
-                continue
-            shared = intersections[(i, k) if i < k else (k, i)]
-            solver.post(
-                props.RunningIntersection(depths[i], depths[k], shared, parents[k], node_sets)
-            )
+    # The root needs none: its parent is itself, and IntersectionOf
+    # already keeps each shared set inside node 0.
+    for k in range(1, m):
+        shared = {i: intersections[(i, k) if i < k else (k, i)] for i in range(m) if i != k}
+        solver.post(props.RunningIntersection(k, depths, shared, parents[k], node_sets))
 
-    bits = None
     if symmetry_breaking and m > 1:
-        bits = [
-            [solver.int_var(0, 1, f"bit{i}_{v}") for v in range(g.n)] for i in range(m)
-        ]
-        for i in range(m):
-            solver.post(props.SetBitsChannel(node_sets[i], bits[i]))
         if variant is Variant.TREE:
             for i in range(m - 1):
-                solver.post(props.LexLeq(bits[i], bits[i + 1]))
+                solver.post(props.LexLeq(node_sets[i], node_sets[i + 1]))
         else:
             # Nodes on a path cannot be reordered freely, only reversed,
-            # so ordering consecutive rows would cut real solutions.
+            # so ordering consecutive nodes would cut real solutions.
             # Break the reversal symmetry alone.
-            solver.post(props.LexLeq(bits[0], bits[m - 1]))
-
-    if variant is Variant.PATH:
-        for i in range(1, m):
-            solver.post(props.FixValue(parents[i], i - 1))
+            solver.post(props.LexLeq(node_sets[0], node_sets[m - 1]))
 
     return ModelInstance(
         g=g,
@@ -148,7 +141,6 @@ def build_model(
         locations=locations,
         location_index=location_index,
         intersections=intersections,
-        bits=bits,
         decision_vars=parents + locations,
     )
 

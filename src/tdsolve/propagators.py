@@ -194,162 +194,134 @@ class ParentDepth(Propagator):
 
 
 class RunningIntersection(Propagator):
-    """If node i is at most as deep as node k, the vertices shared by
-    i and k must all appear in k's parent node."""
+    """For child node k and every other node i: if node i is at most as
+    deep as node k, the vertices shared by i and k must all appear in
+    k's parent node.
 
-    __slots__ = ("depth_i", "depth_k", "shared", "parent_k", "node_sets")
+    ``shared`` maps each other node i to the shared-vertices variable of
+    i and k. Only ``possible`` of the node sets is read, so their
+    ``required`` changes do not wake this propagator, and only
+    ``required`` of the shared sets is read.
+    """
+
+    __slots__ = ("depth_k", "parent_k", "node_sets", "pairs")
 
     def __init__(
         self,
-        depth_i: IntVar,
-        depth_k: IntVar,
-        shared: SetVar,
+        k: int,
+        depths: list[IntVar],
+        shared: dict[int, SetVar],
         parent_k: IntVar,
         node_sets: list[SetVar],
     ):
-        super().__init__([depth_i, depth_k, shared, parent_k] + list(node_sets))
-        self.depth_i = depth_i
-        self.depth_k = depth_k
-        self.shared = shared
+        if k in shared:
+            raise ValueError("a node shares no variable with itself")
+        super().__init__(
+            list(depths) + [parent_k], required=shared.values(), possible=node_sets
+        )
+        self.depth_k = depths[k]
         self.parent_k = parent_k
         self.node_sets = list(node_sets)
+        self.pairs = [(depths[i], shared[i]) for i in sorted(shared)]
 
     def propagate(self) -> None:
-        depth_i, depth_k = self.depth_i, self.depth_k
-        if depth_i.min() > depth_k.max():
-            return  # guard certainly false
-        shared_req = self.shared.required
+        depth_k = self.depth_k
         parent = self.parent_k
-        if depth_i.max() <= depth_k.min():
-            # guard certainly true: prune parents that cannot absorb
-            # the shared vertices, then enforce the subset once fixed
-            for j in bits_of(parent.mask):
-                if shared_req & ~self.node_sets[j].possible:
-                    parent.remove(j)
-            if parent.is_fixed():
-                target = self.node_sets[parent.value()]
-                target.require_mask(self.shared.required)
-                self.shared.restrict(target.possible)
-        else:
-            # guard undecided: if the subset cannot hold for any parent
-            # candidate, force node i strictly deeper than node k
-            if all(shared_req & ~self.node_sets[j].possible for j in bits_of(parent.mask)):
-                depth_i_max = depth_i.max()
-                depth_i.intersect(-1 << (depth_k.min() + 1))
-                depth_k.intersect((1 << depth_i_max) - 1)
+        node_sets = self.node_sets
+        for depth_i, shared in self.pairs:
+            dk = depth_k.mask
+            di = depth_i.mask
+            if (di & -di).bit_length() > dk.bit_length():
+                continue  # guard certainly false: depth_i.min > depth_k.max
+            shared_req = shared.required
+            candidates = parent.mask
+            if not shared_req and candidates & (candidates - 1):
+                continue  # every candidate absorbs the empty set
+            # parents that cannot absorb the shared vertices
+            blocked = 0
+            rest = candidates
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                if shared_req & ~node_sets[low.bit_length() - 1].possible:
+                    blocked |= low
+            if di.bit_length() <= (dk & -dk).bit_length():
+                # guard certainly true (depth_i.max <= depth_k.min): drop
+                # the blocked parents, then enforce the subset once fixed
+                parent.intersect(~blocked)
+                candidates = parent.mask
+                if candidates & (candidates - 1) == 0:
+                    target = node_sets[candidates.bit_length() - 1]
+                    target.require_mask(shared.required)
+                    shared.restrict(target.possible)
+            elif blocked == candidates:
+                # guard undecided and no parent can hold the subset:
+                # force node i strictly deeper than node k
+                depth_i.intersect(-1 << (dk & -dk).bit_length())
+                depth_k.intersect((1 << (di.bit_length() - 1)) - 1)
 
     def satisfied(self, value_of) -> bool:
-        if value_of(self.depth_i) <= value_of(self.depth_k):
-            bag = value_of(self.node_sets[value_of(self.parent_k)])
-            return value_of(self.shared) <= bag
-        return True
+        depth_k = value_of(self.depth_k)
+        bag = value_of(self.node_sets[value_of(self.parent_k)])
+        return all(
+            value_of(shared) <= bag
+            for depth_i, shared in self.pairs
+            if value_of(depth_i) <= depth_k
+        )
+
+
+def _lex_leq(x: int, y: int) -> bool:
+    """Membership mask x is lexicographically <= y, vertex 0 first: at
+    the lowest differing element, y holds it."""
+    d = x ^ y
+    return not d or bool(y & d & -d)
 
 
 class LexLeq(Propagator):
-    """Vector of 0/1 variables a is lexicographically <= vector b."""
+    """Set a is lexicographically <= set b, comparing membership vectors
+    with vertex 0 first.
+
+    A value is supported iff the extreme vectors (a minimal, b maximal)
+    with it substituted still compare <=, so the filtering reads only
+    ``a.required`` and ``b.possible``. Only elements up to the lowest
+    one where those two differ can lose support.
+    """
 
     __slots__ = ("a", "b")
 
-    def __init__(self, a: list[IntVar], b: list[IntVar]):
-        if len(a) != len(b):
-            raise ValueError("lex vectors must have equal length")
-        super().__init__(list(a) + list(b))
-        self.a = list(a)
-        self.b = list(b)
-
-    @staticmethod
-    def _leq(xs: list[int], ys: list[int]) -> bool:
-        for x, y in zip(xs, ys):
-            if x != y:
-                return x < y
-        return True
+    def __init__(self, a: SetVar, b: SetVar):
+        super().__init__(required=[a], possible=[b])
+        self.a = a
+        self.b = b
 
     def propagate(self) -> None:
-        # A value is supported iff the extreme vectors (a minimal,
-        # b maximal) with that value substituted still compare <=.
-        amin = [v.min() for v in self.a]
-        bmax = [v.max() for v in self.b]
-        if not self._leq(amin, bmax):
-            raise Inconsistent
-        for i, v in enumerate(self.a):
-            if not v.is_fixed():
-                amin[i] = 1
-                if not self._leq(amin, bmax):
-                    v.assign(0)
-                amin[i] = 0
-        for i, v in enumerate(self.b):
-            if not v.is_fixed():
-                bmax[i] = 0
-                if not self._leq(amin, bmax):
-                    v.assign(1)
-                bmax[i] = 1
+        a, b = self.a, self.b
+        amin, bmax = a.required, b.possible
+        d = amin ^ bmax
+        if d:
+            low = d & -d
+            if not bmax & low:
+                raise Inconsistent
+            window = (low << 1) - 1
+        else:
+            window = -1
+        drop = 0
+        rest = a.possible & ~amin & window
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            if not _lex_leq(amin | low, bmax):
+                drop |= low
+        force = 0
+        rest = bmax & ~b.required & window
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            if not _lex_leq(amin, bmax ^ low):
+                force |= low
+        a.restrict(~drop)
+        b.require_mask(force)
 
     def satisfied(self, value_of) -> bool:
-        return self._leq([value_of(v) for v in self.a], [value_of(v) for v in self.b])
-
-
-class SetBitsChannel(Propagator):
-    """row[v] == 1 <=> v in X, for every v in the universe."""
-
-    __slots__ = ("x", "row")
-
-    def __init__(self, x: SetVar, row: list[IntVar]):
-        super().__init__([x] + list(row))
-        self.x = x
-        self.row = list(row)
-
-    def propagate(self) -> None:
-        x = self.x
-        ones = 0
-        zeros = 0
-        for v, b in enumerate(self.row):
-            if b.mask == 0b10:
-                ones |= 1 << v
-            elif b.mask == 0b01:
-                zeros |= 1 << v
-        x.require_mask(ones)
-        x.restrict(~zeros)
-        required, possible = x.required, x.possible
-        for v, b in enumerate(self.row):
-            if required >> v & 1:
-                b.assign(1)
-            elif possible >> v & 1 == 0:
-                b.assign(0)
-
-    def satisfied(self, value_of) -> bool:
-        members = {v for v, b in enumerate(self.row) if value_of(b) == 1}
-        return members == value_of(self.x)
-
-
-class FixValue(Propagator):
-    """x == c."""
-
-    __slots__ = ("x", "c")
-
-    def __init__(self, x: IntVar, c: int):
-        super().__init__([x])
-        self.x = x
-        self.c = c
-
-    def propagate(self) -> None:
-        self.x.assign(self.c)
-
-    def satisfied(self, value_of) -> bool:
-        return value_of(self.x) == self.c
-
-
-class ForbidValue(Propagator):
-    """x != c."""
-
-    __slots__ = ("x", "c")
-
-    def __init__(self, x: IntVar, c: int):
-        super().__init__([x])
-        self.x = x
-        self.c = c
-
-    def propagate(self) -> None:
-        self.x.remove(self.c)
-
-    def satisfied(self, value_of) -> bool:
-        return value_of(self.x) != self.c
+        a, b = (sum(1 << e for e in value_of(x)) for x in (self.a, self.b))
+        return _lex_leq(a, b)

@@ -160,18 +160,15 @@ def random_constraint_instance(rng: random.Random) -> Solver:
         AtLeastOne,
         CardinalityAtMost,
         EdgeInNode,
-        FixValue,
-        ForbidValue,
         IntersectionOf,
         LexLeq,
         ParentDepth,
         RunningIntersection,
-        SetBitsChannel,
         UnionEquals,
     )
 
     s = Solver()
-    kind = rng.randrange(10)
+    kind = rng.randrange(8)
     if kind == 0:
         x = s.set_var(4)
         tighten_randomly(s, rng)
@@ -204,31 +201,18 @@ def random_constraint_instance(rng: random.Random) -> Solver:
         s.post(ParentDepth(rng.randrange(1, size), parent, depths))
     elif kind == 6:
         nodes_n = 3
-        depth_i = s.int_var(0, nodes_n - 1)
-        depth_k = s.int_var(0, nodes_n - 1)
-        shared = s.set_var(2)
+        k = rng.randrange(nodes_n)
+        depths = [s.int_var(0, nodes_n - 1) for _ in range(nodes_n)]
         parent_k = s.int_var(0, nodes_n - 1)
+        shared = {i: s.set_var(2) for i in range(nodes_n) if i != k}
         nodes = [s.set_var(2) for _ in range(nodes_n)]
         tighten_randomly(s, rng)
-        s.post(RunningIntersection(depth_i, depth_k, shared, parent_k, nodes))
-    elif kind == 7:
-        length = rng.randint(1, 4)
-        a = [s.int_var(0, 1) for _ in range(length)]
-        b = [s.int_var(0, 1) for _ in range(length)]
+        s.post(RunningIntersection(k, depths, shared, parent_k, nodes))
+    else:
+        size = rng.randint(1, 4)
+        a, b = s.set_var(size), s.set_var(size)
         tighten_randomly(s, rng)
         s.post(LexLeq(a, b))
-    elif kind == 8:
-        x = s.set_var(3)
-        row = [s.int_var(0, 1) for _ in range(3)]
-        tighten_randomly(s, rng)
-        s.post(SetBitsChannel(x, row))
-    else:
-        x = s.int_var(0, 3)
-        tighten_randomly(s, rng)
-        if rng.random() < 0.5:
-            s.post(FixValue(x, rng.randint(0, 3)))
-        else:
-            s.post(ForbidValue(x, rng.randint(0, 3)))
     return s
 
 

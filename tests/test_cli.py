@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from tdsolve.cli import main
+from tdsolve.graphio import MAX_VERTICES
 
 P3_GR = "p tw 3 2\n1 2\n2 3\n"
 K3_GR = "p tw 3 3\n1 2\n2 3\n1 3\n"
@@ -162,6 +163,15 @@ def test_parse_error_names_file_and_line(tmp_path, capsys):
     assert main(["treewidth", str(f)]) == 1
     err = capsys.readouterr().err
     assert "bad.gr" in err and "line 2" in err
+
+
+def test_oversized_header_is_error(tmp_path, capsys):
+    f = tmp_path / "huge.gr"
+    f.write_text(f"p tw {MAX_VERTICES + 1} 0\n")
+    assert main(["treewidth", str(f)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "huge.gr" in captured.err and "exceeds the limit" in captured.err
 
 
 def test_missing_file_is_error(capsys):

@@ -176,16 +176,6 @@ def test_decision_limit_gives_indeterminate():
     assert err.value.trace[-1] is err.value.step
 
 
-def test_parallel_matches_sequential():
-    rng = random.Random(8)
-    for _ in range(5):
-        g = random_graph(5, 0.5, rng)
-        seq = treewidth(g)
-        par = treewidth(g, parallel=True)
-        assert par.min_width == seq.min_width
-        assert outcomes(par) == outcomes(seq)
-
-
 def test_rejects_empty_graph():
     from tdsolve.graphs import Graph
 

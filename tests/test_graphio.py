@@ -7,7 +7,15 @@ import random
 import pytest
 
 from helpers import complete_graph, path_graph, random_graph
-from tdsolve.graphio import ParseError, export_dot, parse_edge_list, parse_gr, parse_td, write_td
+from tdsolve.graphio import (
+    MAX_VERTICES,
+    ParseError,
+    export_dot,
+    parse_edge_list,
+    parse_gr,
+    parse_td,
+    write_td,
+)
 from tdsolve.graphs import TreeDecomposition
 from tdsolve.oracle import brute_treewidth
 from tdsolve.validator import validate
@@ -71,6 +79,18 @@ def test_parse_edge_list_basic():
 def test_parse_edge_list_errors(text):
     with pytest.raises(ParseError):
         parse_edge_list(text)
+
+
+def test_vertex_count_cap():
+    # the header alone would otherwise allocate one set per declared vertex
+    # (kept just above the cap, so a broken check costs little memory)
+    with pytest.raises(ParseError) as err:
+        parse_gr(f"c big\np tw {MAX_VERTICES + 1} 0")
+    assert "exceeds the limit" in str(err.value) and "line 2" in str(err.value)
+    with pytest.raises(ParseError):
+        parse_edge_list(f"{MAX_VERTICES + 1}")
+    assert parse_gr(f"p tw {MAX_VERTICES} 1\n1 {MAX_VERTICES}").n == MAX_VERTICES
+    assert parse_edge_list(f"{MAX_VERTICES}").n == MAX_VERTICES
 
 
 def test_parse_gr_order_insensitive():

@@ -6,9 +6,16 @@ import random
 
 import pytest
 
-from helpers import all_labeled_graphs, complete_graph, cycle_graph, path_graph, random_graph
+from helpers import (
+    all_labeled_graphs,
+    complete_graph,
+    cycle_graph,
+    path_graph,
+    random_graph,
+    snapshot,
+)
 from tdsolve.driver import _schedule_pairs, decide
-from tdsolve.engine import Status
+from tdsolve.engine import Status, Strategy
 from tdsolve.model import Variant, build_model, extract_decomposition
 from tdsolve.propagators import LexLeq
 from tdsolve.validator import validate
@@ -131,20 +138,42 @@ def test_path_variant_parent_chain():
     assert step.witness.depth == (0, 1, 2)
 
 
+def _assert_at_fixpoint(solver):
+    """Rescheduling every propagator must change no domain."""
+    before = snapshot(solver)
+    for prop in solver.propagators:
+        solver._schedule(prop)
+    assert solver.propagate()
+    assert snapshot(solver) == before
+
+
 def test_full_model_propagation_is_idempotent():
-    g = cycle_graph(5)
-    mi = build_model(g, m=3, w=3)
+    # Propagators wake only on the set events they subscribe to; a missed
+    # event would leave a later rerun with something to prune. Checked at
+    # the root and along seeded dives of branching decisions.
+    mi = build_model(cycle_graph(5), m=3, w=3)
     assert mi.solver.propagate()
-    before = [(v.mask) for v in mi.solver.int_vars], [
-        (s.required, s.possible) for s in mi.solver.set_vars
-    ]
-    for prop in mi.solver.propagators:
-        mi.solver._schedule(prop)
-    assert mi.solver.propagate()
-    after = [(v.mask) for v in mi.solver.int_vars], [
-        (s.required, s.possible) for s in mi.solver.set_vars
-    ]
-    assert before == after
+    _assert_at_fixpoint(mi.solver)
+
+    rng = random.Random(23)
+    checked = 0
+    for n in (4, 5, 6):
+        for _ in range(4):
+            g = random_graph(n, 0.5, rng)
+            for variant in Variant:
+                for m, w in _schedule_pairs(n, strict=False)[1:4]:
+                    mi = build_model(g, m, w, variant=variant)
+                    solver = mi.solver
+                    consistent = solver.propagate()
+                    while consistent:
+                        _assert_at_fixpoint(solver)
+                        checked += 1
+                        alternatives = solver._branch(mi.decision_vars, Strategy())
+                        if alternatives is None:
+                            break
+                        solver._apply(rng.choice(alternatives))
+                        consistent = solver.propagate()
+    assert checked > 250  # the dives are not all cut short by failures
 
 
 def test_lex_toggle_preserves_outcomes_small():

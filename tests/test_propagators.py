@@ -18,13 +18,10 @@ from tdsolve.propagators import (
     AtLeastOne,
     CardinalityAtMost,
     EdgeInNode,
-    FixValue,
-    ForbidValue,
     IntersectionOf,
     LexLeq,
     ParentDepth,
     RunningIntersection,
-    SetBitsChannel,
     UnionEquals,
 )
 
@@ -193,14 +190,14 @@ def test_parent_depth_compatible_candidates_untouched():
 
 
 def _running_intersection_setup(n_nodes=3, universe=3):
+    # child node k = 1, one other node i = 0
     s = Solver()
-    depth_i = s.int_var(0, n_nodes - 1)
-    depth_k = s.int_var(0, n_nodes - 1)
+    depths = [s.int_var(0, n_nodes - 1) for _ in range(n_nodes)]
     shared = s.set_var(universe)
     parent_k = s.int_var(0, n_nodes - 1)
     nodes = [s.set_var(universe) for _ in range(n_nodes)]
-    prop = RunningIntersection(depth_i, depth_k, shared, parent_k, nodes)
-    return s, depth_i, depth_k, shared, parent_k, nodes, prop
+    prop = RunningIntersection(1, depths, {0: shared}, parent_k, nodes)
+    return s, depths[0], depths[1], shared, parent_k, nodes, prop
 
 
 def test_running_intersection_prunes_parent_candidates():
@@ -221,6 +218,18 @@ def test_running_intersection_enforces_subset_when_parent_fixed():
     s.post(prop)
     assert s.propagate()
     assert nodes[2].required & 0b001
+
+
+def test_running_intersection_bounds_empty_shared_set_once_parent_fixed():
+    # nothing is required in the shared set, yet a fixed parent still
+    # bounds what it may hold
+    s, depth_i, depth_k, shared, parent_k, nodes, prop = _running_intersection_setup()
+    depth_i.assign(0)
+    parent_k.assign(2)
+    nodes[2].restrict(0b011)
+    s.post(prop)
+    assert s.propagate()
+    assert shared.possible == 0b011
 
 
 def test_running_intersection_idle_when_guard_false():
@@ -249,66 +258,72 @@ def test_running_intersection_forces_guard_negation():
     assert depth_k.max() < depth_i.max()
 
 
+def test_running_intersection_covers_every_other_node():
+    # child k = 2 with two other nodes: node 0 (guard true) removes
+    # parent 1, which fixes the parent; node 1 (guard true) then has its
+    # shared vertex pushed into node 0
+    s = Solver()
+    depths = [s.int_var(0, 2) for _ in range(3)]
+    shared = {0: s.set_var(3), 1: s.set_var(3)}
+    parent_k = s.int_var(0, 1)
+    nodes = [s.set_var(3) for _ in range(3)]
+    depths[0].assign(0)
+    depths[1].assign(1)
+    depths[2].assign(2)
+    shared[0].require_mask(0b100)
+    shared[1].require_mask(0b010)
+    nodes[1].restrict(0b011)
+    s.post(RunningIntersection(2, depths, shared, parent_k, nodes))
+    assert s.propagate()
+    assert parent_k.value() == 0
+    assert nodes[0].required == 0b110
+    with pytest.raises(ValueError):
+        RunningIntersection(2, depths, {2: shared[0]}, parent_k, nodes)
+
+
 def test_lex_base_cases():
     s = Solver()
-    a = [s.int_var(0, 1), s.int_var(0, 1)]
-    b = [s.int_var(0, 1), s.int_var(0, 1)]
-    a[0].assign(1)
-    b[0].assign(0)
+    a, b = s.set_var(2), s.set_var(2)
+    a.include(0)
+    b.exclude(0)
     s.post(LexLeq(a, b))
     assert not s.propagate()
 
     s2 = Solver()
-    a2 = [s2.int_var(0, 1), s2.int_var(0, 1)]
-    b2 = [s2.int_var(0, 1), s2.int_var(0, 1)]
-    for v, val in zip(a2 + b2, [0, 1, 0, 1]):
-        v.assign(val)
+    a2, b2 = s2.set_var(2), s2.set_var(2)
+    for x in (a2, b2):
+        x.exclude(0)
+        x.include(1)
     s2.post(LexLeq(a2, b2))
     assert s2.propagate()  # equality allowed
 
     s3 = Solver()
-    a3 = [s3.int_var(0, 1), s3.int_var(0, 1)]
-    b3 = [s3.int_var(0, 1), s3.int_var(0, 1)]
-    a3[0].assign(0)
-    b3[0].assign(1)
+    a3, b3 = s3.set_var(2), s3.set_var(2)
+    a3.exclude(0)
+    b3.include(0)
     s3.post(LexLeq(a3, b3))
     assert s3.propagate()
-    assert not a3[1].is_fixed() and not b3[1].is_fixed()
+    assert a3.undecided() == 0b10 and b3.undecided() == 0b10
 
 
-def test_bits_channel_both_directions():
+def test_lex_prunes_both_sides():
+    # a holds vertex 0, so b must too; then b cannot drop vertex 1 while
+    # a holds it
     s = Solver()
-    x = s.set_var(3)
-    row = [s.int_var(0, 1) for _ in range(3)]
-    x.include(2)
-    row[0].assign(0)
-    s.post(SetBitsChannel(x, row))
+    a, b = s.set_var(3), s.set_var(3)
+    a.require_mask(0b011)
+    s.post(LexLeq(a, b))
     assert s.propagate()
-    assert row[2].value() == 1
-    assert not x.possible & 0b001
-    x.require_mask(0b010)
-    assert s.propagate()
-    assert [b.value() for b in row] == [0, 1, 1]
-    assert x.is_fixed()
+    assert b.required == 0b011 and b.undecided() == 0b100
 
-
-def test_fix_and_forbid():
-    s = Solver()
-    x = s.int_var(0, 2)
-    s.post(ForbidValue(x, 1))
-    assert s.propagate()
-    assert x.domain() == [0, 2]
-
+    # b lacks vertex 0, so a must lack it; vertex 0 decides nothing else
     s2 = Solver()
-    y = s2.int_var(0, 0)
-    s2.post(FixValue(y, 0))
+    a2, b2 = s2.set_var(3), s2.set_var(3)
+    b2.exclude(0)
+    s2.post(LexLeq(a2, b2))
     assert s2.propagate()
-    assert y.value() == 0
-
-    s3 = Solver()
-    z = s3.int_var(1, 1)
-    s3.post(FixValue(z, 0))
-    assert not s3.propagate()
+    assert a2.possible == 0b110 and a2.required == 0
+    assert b2.undecided() == 0b110
 
 
 # ---------------------------------------------------------------------------
