@@ -8,15 +8,17 @@ Brute-force oracles and an independent validator certify the answers.
 """
 
 from .driver import (
+    ScheduleInterrupted,
     ScheduleStep,
     SearchLimitExceeded,
     WidthResult,
     decide,
     max_nodes_bound,
+    minor_min_width,
     pathwidth,
     treewidth,
 )
-from .engine import SolveReport, Solver, Status, Strategy
+from .engine import SolveReport, Solver, Status
 from .graphio import ParseError, export_dot, parse_edge_list, parse_gr, parse_td, write_td
 from .graphs import Graph, TreeDecomposition, oriented_at_zero, rooted_at
 from .model import ModelInstance, Variant, build_model, extract_decomposition
@@ -27,7 +29,7 @@ from .oracle import (
     decomposition_from_order,
     elimination_width,
 )
-from .validator import Violation, ViolationKind, validate
+from .validator import Violation, ViolationKind, check_minor_bound, validate
 
 __all__ = [
     "Graph",
@@ -43,21 +45,23 @@ __all__ = [
     "Violation",
     "ViolationKind",
     "validate",
+    "check_minor_bound",
     "Solver",
     "SolveReport",
     "Status",
-    "Strategy",
     "ModelInstance",
     "Variant",
     "build_model",
     "extract_decomposition",
     "ScheduleStep",
+    "ScheduleInterrupted",
     "SearchLimitExceeded",
     "WidthResult",
     "decide",
     "treewidth",
     "pathwidth",
     "max_nodes_bound",
+    "minor_min_width",
     "OracleResult",
     "elimination_width",
     "decomposition_from_order",

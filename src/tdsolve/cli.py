@@ -1,8 +1,9 @@
 """Command-line front end.
 
-Exit codes: 10 SAT, 20 UNSAT, 2 search limit hit, 1 usage or parse
-error, 0 for everything else. Stdout of the width commands is
-byte-stable across runs; timing only appears under --stats.
+Exit codes: 10 SAT, 20 UNSAT, 2 search limit hit or interrupted, 1
+usage, parse or internal error, 0 for everything else. Stdout of the
+width commands is byte-stable across runs; timing only appears under
+--stats.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .driver import SearchLimitExceeded, decide, pathwidth, treewidth
+from .driver import ScheduleInterrupted, SearchLimitExceeded, decide, pathwidth, treewidth
 from .engine import Status
 from .graphio import ParseError, export_dot, parse_edge_list, parse_gr, parse_td, write_td
 from .model import Variant
@@ -46,6 +47,8 @@ def _load_graph(path: str, fmt: str):
 
 def _step_line(step, stats: bool) -> str:
     line = f"m={step.m} w={step.w} {step.status.value} decisions={step.report.decisions}"
+    if step.bound is not None:
+        line += " by=bound"
     if stats:
         line += (
             f" propagations={step.report.propagations}"
@@ -99,7 +102,7 @@ def _cmd_width(args, runner, label: str) -> int:
             decision_limit=args.decision_limit,
             timeout=args.timeout,
         )
-    except SearchLimitExceeded as exc:
+    except (SearchLimitExceeded, ScheduleInterrupted) as exc:
         for step in exc.trace:
             print(_step_line(step, args.stats))
         print("INDETERMINATE")
@@ -236,9 +239,12 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    except ValueError as exc:
+    except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return EXIT_INDETERMINATE
 
 
 if __name__ == "__main__":

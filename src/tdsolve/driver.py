@@ -5,16 +5,23 @@ vertices); the first unsatisfiable step proves that the previous step's
 width is minimum. By default the schedule runs down to w = 1 so that
 edgeless graphs report their true minimum width; the strict variant
 stops after the w = 2 step.
+
+Before the first step the schedule computes the minor-min-width lower
+bound lb <= tw(g) and has the validator check its certificate. A step
+with w <= lb is UNSAT by the bound, without search: every node count
+then needs a node of more than w vertices. Such a step carries the
+certificate in ``bound`` and ends the schedule.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
-from .engine import SolveReport, Status, Strategy
+from .engine import SolveReport, Status
 from .graphs import Graph, TreeDecomposition
 from .model import Variant, build_model, extract_decomposition
-from .validator import validate
+from .validator import check_minor_bound, validate
 
 
 class SearchLimitExceeded(RuntimeError):
@@ -26,13 +33,31 @@ class SearchLimitExceeded(RuntimeError):
         super().__init__(f"step (m={step.m}, w={step.w}) hit its search limit")
 
 
+class ScheduleInterrupted(KeyboardInterrupt):
+    """Ctrl-C arrived during a schedule; ``trace`` holds the finished steps."""
+
+    def __init__(self, trace: list["ScheduleStep"]):
+        self.trace = trace
+        super().__init__("schedule interrupted")
+
+
 @dataclass
 class ScheduleStep:
+    """One (m, w) instance of a schedule.
+
+    A SAT step carries a validated ``witness``. A step decided by the
+    lower bound instead of search carries ``bound``: branch sets of a
+    minor of the graph with minimum degree at least w, which
+    ``validator.check_minor_bound`` accepted; its report counts no
+    decisions, propagations or fails.
+    """
+
     m: int
     w: int
     status: Status
     report: SolveReport
     witness: TreeDecomposition | None
+    bound: tuple[frozenset[int], ...] | None = None
 
 
 @dataclass
@@ -65,13 +90,11 @@ def decide(
     symmetry_breaking: bool = True,
     decision_limit: int | None = None,
     timeout: float | None = None,
-    strategy: Strategy | None = None,
 ) -> ScheduleStep:
     """Solve one decision instance; SAT steps carry a validated witness."""
     mi = build_model(g, m, w, variant=variant, symmetry_breaking=symmetry_breaking)
     report = mi.solver.solve(
         decision_vars=mi.decision_vars,
-        strategy=strategy,
         decision_limit=decision_limit,
         timeout=timeout,
     )
@@ -86,6 +109,38 @@ def decide(
             )
         witness = td
     return ScheduleStep(m=m, w=w, status=report.status, report=report, witness=witness)
+
+
+def minor_min_width(g: Graph) -> tuple[int, tuple[frozenset[int], ...]]:
+    """Minor-min-width lower bound on the treewidth of g, with its minor.
+
+    Repeatedly takes a vertex v of minimum degree (lowest index on ties),
+    raises the bound to deg(v), and contracts v into its neighbour of
+    minimum degree (lowest index on ties), or deletes v if it is
+    isolated. Returns ``(lb, branch_sets)``: the branch sets of the
+    minor in force when lb was last raised, ascending by representative.
+    Each is connected in g and the minor has minimum degree lb, which
+    ``validator.check_minor_bound`` checks by direct traversal.
+    """
+    adj = {v: set(g.adjacency[v]) for v in range(g.n)}
+    branch = {v: {v} for v in range(g.n)}
+    lb, minor = 0, tuple(frozenset(b) for b in branch.values())
+    while adj:
+        v = min(adj, key=lambda u: (len(adj[u]), u))
+        if len(adj[v]) > lb:
+            lb = len(adj[v])
+            minor = tuple(frozenset(branch[u]) for u in adj)
+        neighbours = adj.pop(v)
+        members = branch.pop(v)
+        for x in neighbours:
+            adj[x].discard(v)
+        if neighbours:
+            u = min(neighbours, key=lambda x: (len(adj[x]), x))
+            branch[u] |= members
+            for x in neighbours - {u}:
+                adj[x].add(u)
+                adj[u].add(x)
+    return lb, minor
 
 
 def _schedule_pairs(n: int, strict: bool) -> list[tuple[int, int]]:
@@ -113,21 +168,37 @@ def _run_schedule(
     if g.n < 1:
         raise ValueError("the schedule needs a graph with at least one vertex")
     trace: list[ScheduleStep] = []
-    for m, w in _schedule_pairs(g.n, strict):
-        step = decide(
-            g,
-            m,
-            w,
-            variant=variant,
-            symmetry_breaking=symmetry_breaking,
-            decision_limit=decision_limit,
-            timeout=timeout,
-        )
-        trace.append(step)
-        if step.status is Status.UNSAT:
-            break
-        if step.status is Status.INDETERMINATE:
-            raise SearchLimitExceeded(step, trace)
+    try:
+        start = time.perf_counter()
+        lb, minor = minor_min_width(g)
+        violations = check_minor_bound(g, minor, lb)
+        if violations:
+            raise RuntimeError(
+                "lower bound has an invalid certificate: "
+                + "; ".join(str(v) for v in violations)
+            )
+        bound_s = time.perf_counter() - start
+        for m, w in _schedule_pairs(g.n, strict):
+            if w <= lb:
+                report = SolveReport(Status.UNSAT, None, 0, 0, 0, bound_s)
+                trace.append(ScheduleStep(m, w, Status.UNSAT, report, None, bound=minor))
+                break
+            step = decide(
+                g,
+                m,
+                w,
+                variant=variant,
+                symmetry_breaking=symmetry_breaking,
+                decision_limit=decision_limit,
+                timeout=timeout,
+            )
+            trace.append(step)
+            if step.status is Status.UNSAT:
+                break
+            if step.status is Status.INDETERMINATE:
+                raise SearchLimitExceeded(step, trace)
+    except KeyboardInterrupt:
+        raise ScheduleInterrupted(trace) from None
 
     last_sat = None
     for step in trace:

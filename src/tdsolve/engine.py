@@ -239,19 +239,6 @@ class SolveReport:
     elapsed: float
 
 
-@dataclass
-class Strategy:
-    """Branching configuration.
-
-    ``variable``: "min_domain" picks the unfixed decision variable with
-    the smallest domain (ties by position); "input_order" picks the
-    first unfixed. ``value``: "ascending" or "descending".
-    """
-
-    variable: str = "min_domain"
-    value: str = "ascending"
-
-
 class Solver:
     """Owns variables, propagators, trail, and search state.
 
@@ -335,20 +322,18 @@ class Solver:
     def solve(
         self,
         decision_vars: Optional[list[IntVar]] = None,
-        strategy: Optional[Strategy] = None,
         decision_limit: Optional[int] = None,
         timeout: Optional[float] = None,
     ) -> SolveReport:
         """Depth-first search with propagation to fixpoint at every node.
 
-        Branches on the decision variables first (value assignment per
-        the strategy); once they are all fixed, branches on set
-        membership (include before exclude, lowest variable and element
-        first) until every variable is fixed. Returns the first full
-        assignment, or UNSAT after exhausting the tree, or INDETERMINATE
-        when a limit is hit.
+        Branches on the decision variables first (the unfixed one with
+        the smallest domain, ties by position, values ascending); once
+        they are all fixed, branches on set membership (include before
+        exclude, lowest variable and element first) until every
+        variable is fixed. Returns the first full assignment, or UNSAT
+        after exhausting the tree, or INDETERMINATE when a limit is hit.
         """
-        strategy = strategy or Strategy()
         dvars = list(self.int_vars) if decision_vars is None else list(decision_vars)
         self.decisions = 0
         self.propagations = 0
@@ -372,7 +357,7 @@ class Solver:
         # A frame is [trail mark, alternatives, index of the next one to try].
         frames: list[list] = []
         while True:
-            alternatives = self._branch(dvars, strategy)
+            alternatives = self._branch(dvars)
             if alternatives is None:
                 return report(Status.SAT, self._witness())
             if decision_limit is not None and self.decisions >= decision_limit:
@@ -400,26 +385,17 @@ class Solver:
             if not descended:
                 return report(Status.UNSAT)
 
-    def _branch(self, dvars: list[IntVar], strategy: Strategy):
+    def _branch(self, dvars: list[IntVar]):
         """Alternatives at this node, or None when everything is fixed."""
         chosen = None
-        if strategy.variable == "input_order":
-            for var in dvars:
-                if not var.is_fixed():
-                    chosen = var
-                    break
-        else:
-            best_size = None
-            for var in dvars:
-                size = var.size()
-                if size > 1 and (best_size is None or size < best_size):
-                    chosen = var
-                    best_size = size
+        best_size = None
+        for var in dvars:
+            size = var.size()
+            if size > 1 and (best_size is None or size < best_size):
+                chosen = var
+                best_size = size
         if chosen is not None:
-            values = chosen.domain()
-            if strategy.value == "descending":
-                values.reverse()
-            return [("=", chosen, v) for v in values]
+            return [("=", chosen, v) for v in chosen.domain()]
 
         for svar in self.set_vars:
             undecided = svar.undecided()

@@ -1,8 +1,9 @@
-"""Standalone checker for the four tree-decomposition properties.
+"""Standalone checkers: the four tree-decomposition properties of a
+witness, and the minor certificate of a treewidth lower bound.
 
-Shares no logic with the constraint engine: every check here is a direct
-traversal of the claimed decomposition, so it can serve as an
-independent witness auditor.
+Shares no logic with the constraint engine or the bound that builds the
+certificate: every check here is a direct traversal of the claimed
+object, so it can serve as an independent auditor.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from typing import Iterable
 
 from .graphs import Graph, TreeDecomposition
 
@@ -21,6 +23,8 @@ class ViolationKind(Enum):
     CONNECTEDNESS = "CONNECTEDNESS"
     WIDTH = "WIDTH"
     NODE_COUNT = "NODE_COUNT"
+    BRANCH_SET = "BRANCH_SET"
+    MINOR_DEGREE = "MINOR_DEGREE"
 
 
 @dataclass(frozen=True)
@@ -156,4 +160,73 @@ def validate(
     if expect_m is not None and m != expect_m:
         out.append(Violation(ViolationKind.NODE_COUNT, f"{m} nodes, expected {expect_m}"))
 
+    return out
+
+
+def check_minor_bound(g: Graph, branch_sets: Iterable[Iterable[int]], lb: int) -> list[Violation]:
+    """Check a claimed certificate that g has treewidth at least lb;
+    return all violations found.
+
+    The certificate is a list of branch sets. Checks that they are
+    non-empty, disjoint sets of vertices of g, that each induces a
+    connected subgraph of g, and that each has a g-edge to at least lb
+    of the other sets. Contracting every set and deleting the vertices
+    outside them then leaves a minor of g with minimum degree at least
+    lb. Treewidth does not grow under taking minors and is at least the
+    minimum degree, so an empty list proves tw(g) >= lb.
+    """
+    out: list[Violation] = []
+    sets = [frozenset(bs) for bs in branch_sets]
+    if lb > 0 and not sets:
+        out.append(Violation(ViolationKind.MINOR_DEGREE, f"no branch sets, bound {lb}"))
+
+    owner: dict[int, int] = {}
+    for i, bs in enumerate(sets):
+        if not bs:
+            out.append(Violation(ViolationKind.BRANCH_SET, f"branch set {i} is empty"))
+        for v in sorted(bs):
+            if not (0 <= v < g.n):
+                out.append(
+                    Violation(ViolationKind.BRANCH_SET, f"branch set {i} contains non-vertex {v}")
+                )
+            elif v in owner:
+                out.append(
+                    Violation(
+                        ViolationKind.BRANCH_SET,
+                        f"vertex {v} is in branch sets {owner[v]} and {i}",
+                    )
+                )
+            else:
+                owner[v] = i
+
+    for i, bs in enumerate(sets):
+        members = {v for v in bs if 0 <= v < g.n}
+        if not members:
+            continue
+        first = min(members)
+        reached = {first}
+        queue = deque([first])
+        while queue:
+            v = queue.popleft()
+            for u in g.adjacency[v]:
+                if u in members and u not in reached:
+                    reached.add(u)
+                    queue.append(u)
+        cut = sorted(members - reached)
+        if cut:
+            out.append(
+                Violation(
+                    ViolationKind.BRANCH_SET,
+                    f"branch set {i} is not connected: vertices {cut} cannot reach {first}",
+                )
+            )
+
+        touched = {owner[u] for v in members for u in g.adjacency[v] if u in owner} - {i}
+        if len(touched) < lb:
+            out.append(
+                Violation(
+                    ViolationKind.MINOR_DEGREE,
+                    f"branch set {i} has edges to {len(touched)} other sets, bound {lb}",
+                )
+            )
     return out

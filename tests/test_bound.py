@@ -1,0 +1,112 @@
+"""Minor-min-width lower bound: its certificate checker, and agreement
+with the oracle and with the model's own UNSAT proofs."""
+
+from __future__ import annotations
+
+import random
+
+from helpers import (
+    all_labeled_graphs,
+    complete_graph,
+    cycle_graph,
+    edgeless_graph,
+    path_graph,
+    random_graph,
+    star_graph,
+)
+from tdsolve.driver import decide, minor_min_width, pathwidth, treewidth
+from tdsolve.engine import Status
+from tdsolve.graphs import Graph
+from tdsolve.model import Variant
+from tdsolve.oracle import brute_treewidth
+from tdsolve.validator import ViolationKind, check_minor_bound
+
+
+def kinds(violations):
+    return {v.kind for v in violations}
+
+
+def _neighbours(g, sets, i):
+    return {j for j, bs in enumerate(sets) if j != i and any(g.adjacency[v] & bs for v in sets[i])}
+
+
+def test_known_families():
+    assert minor_min_width(complete_graph(5)) == (4, tuple(frozenset({v}) for v in range(5)))
+    assert minor_min_width(cycle_graph(6))[0] == 2
+    assert minor_min_width(path_graph(3))[0] == 1
+    assert minor_min_width(star_graph(4))[0] == 1
+    assert minor_min_width(edgeless_graph(3)) == (0, tuple(frozenset({v}) for v in range(3)))
+
+
+def test_bound_agrees_with_oracle_and_search():
+    # every labeled graph with n <= 5, and 40 G(6, 1/2) / G(7, 1/2) graphs;
+    # a schedule reaches w <= lb only at its step (n + 1 - lb, lb)
+    rng = random.Random(83)
+    graphs = [g for n in range(1, 6) for g in all_labeled_graphs(n)]
+    graphs += [random_graph(6 + i % 2, 0.5, rng) for i in range(40)]
+    decided = 0
+    for g in graphs:
+        lb, minor = minor_min_width(g)
+        assert lb <= brute_treewidth(g).width - 1, g.edges
+        assert check_minor_bound(g, minor, lb) == [], g.edges
+        if lb == 0:
+            continue
+        for variant in Variant:
+            step = decide(g, g.n + 1 - lb, lb, variant=variant)
+            assert step.status is Status.UNSAT, (g.edges, variant, lb)
+            decided += 1
+    assert decided > 2000
+
+
+def test_schedule_step_decided_by_bound():
+    g = cycle_graph(5)
+    lb, minor = minor_min_width(g)
+    for run in (treewidth, pathwidth):
+        trace = run(g).trace
+        assert all(step.bound is None for step in trace[:-1])
+        last = trace[-1]
+        assert (last.m, last.w, last.status, last.witness) == (4, lb, Status.UNSAT, None)
+        assert last.bound == minor
+        report = last.report
+        assert (report.decisions, report.propagations, report.fails) == (0, 0, 0)
+
+
+def test_checker_rejects_a_disconnected_branch_set():
+    # K4 on 0..3 plus an isolated vertex 4 glued into the first set
+    g = Graph.from_edges(5, [(a, b) for a in range(4) for b in range(a + 1, 4)])
+    sets = [{0, 1}, {2}, {3}]
+    assert check_minor_bound(g, sets, 2) == []
+    violations = check_minor_bound(g, [{0, 4}, {1}, {2}, {3}], 3)
+    assert kinds(violations) == {ViolationKind.BRANCH_SET}
+    assert "not connected" in violations[0].detail
+
+
+def test_checker_rejects_mutated_certificates():
+    rng = random.Random(89)
+    mutated = 0
+    for _ in range(30):
+        g = random_graph(7, 0.6, rng)
+        lb, minor = minor_min_width(g)
+        sets = [set(bs) for bs in minor]
+        assert check_minor_bound(g, sets, lb) == []
+        assert ViolationKind.MINOR_DEGREE in kinds(check_minor_bound(g, sets, lb + 1))
+        if lb < 1 or len(sets) < 2:
+            continue
+        overlapping = [set(bs) for bs in sets]
+        overlapping[0].add(min(sets[1]))
+        assert ViolationKind.BRANCH_SET in kinds(check_minor_bound(g, overlapping, lb))
+        # drop a neighbour of a set that has exactly lb of them
+        tight = next(i for i in range(len(sets)) if len(_neighbours(g, sets, i)) == lb)
+        dropped = min(_neighbours(g, sets, tight))
+        rest = sets[:dropped] + sets[dropped + 1 :]
+        assert ViolationKind.MINOR_DEGREE in kinds(check_minor_bound(g, rest, lb))
+        mutated += 1
+    assert mutated > 20
+
+
+def test_checker_rejects_malformed_sets():
+    g = path_graph(3)
+    assert check_minor_bound(g, [], 0) == []
+    assert kinds(check_minor_bound(g, [], 1)) == {ViolationKind.MINOR_DEGREE}
+    assert ViolationKind.BRANCH_SET in kinds(check_minor_bound(g, [{0}, set()], 0))
+    assert ViolationKind.BRANCH_SET in kinds(check_minor_bound(g, [{0}, {7}], 0))

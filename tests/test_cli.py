@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import pytest
 
+from tdsolve import cli, driver
 from tdsolve.cli import main
 from tdsolve.graphio import MAX_VERTICES
+from tdsolve.validator import Violation, ViolationKind
 
 P3_GR = "p tw 3 2\n1 2\n2 3\n"
 K3_GR = "p tw 3 3\n1 2\n2 3\n1 3\n"
@@ -190,3 +192,63 @@ def test_timeout_indeterminate_on_width_command(tmp_path, capsys):
     g.write_text("p tw 6 9\n1 2\n2 3\n3 4\n4 5\n5 6\n6 1\n1 4\n2 5\n3 6\n")
     assert main(["treewidth", str(g), "--decision-limit", "1"]) == 2
     assert "INDETERMINATE" in capsys.readouterr().out
+
+def test_bound_decided_step_line(p3, capsys):
+    assert main(["treewidth", p3]) == 0
+    assert capsys.readouterr().out.splitlines()[2] == "m=3 w=1 UNSAT decisions=0 by=bound"
+    assert main(["treewidth", p3, "--stats"]) == 0
+    line = capsys.readouterr().out.splitlines()[2]
+    assert line.startswith("m=3 w=1 UNSAT decisions=0 by=bound propagations=0 fails=0 time=")
+
+
+K33_GR = "p tw 6 9\n1 2\n2 3\n3 4\n4 5\n5 6\n6 1\n1 4\n2 5\n3 6\n"
+
+
+def test_interrupt_prints_partial_trace(tmp_path, monkeypatch, capsys):
+    g = tmp_path / "k33.gr"
+    g.write_text(K33_GR)
+    real_decide = driver.decide
+    calls = []
+
+    def interrupted_at_step_3(*args, **kwargs):
+        calls.append(args[1:3])
+        if len(calls) == 3:
+            raise KeyboardInterrupt
+        return real_decide(*args, **kwargs)
+
+    monkeypatch.setattr(driver, "decide", interrupted_at_step_3)
+    assert main(["treewidth", str(g)]) == 2
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert [line.split(" decisions=")[0] for line in lines[:2]] == ["m=1 w=6 SAT", "m=2 w=5 SAT"]
+    assert lines[2:] == ["INDETERMINATE"]
+    assert "Traceback" not in captured.err
+
+
+def test_interrupt_outside_a_schedule(k3, monkeypatch, capsys):
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "decide", interrupted)
+    assert main(["decide", k3, "--m", "2", "--w", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: interrupted\n"
+
+
+def test_rejected_certificate_is_error(p3, monkeypatch, capsys):
+    rejected = [Violation(ViolationKind.MINOR_DEGREE, "branch set 0 has edges to 0 other sets")]
+    monkeypatch.setattr(driver, "check_minor_bound", lambda g, sets, lb: rejected)
+    assert main(["pathwidth", p3]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: lower bound has an invalid certificate")
+    assert "Traceback" not in captured.err
+
+
+def test_invalid_witness_is_error(p3, monkeypatch, capsys):
+    rejected = [Violation(ViolationKind.EDGE, "edge (0, 1) is inside no node")]
+    monkeypatch.setattr(driver, "validate", lambda *args, **kwargs: rejected)
+    assert main(["treewidth", p3]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: solver returned an invalid decomposition")

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from helpers import snapshot, solutions_within, tighten_randomly
-from tdsolve.engine import Propagator, Solver, Status, Strategy
+from tdsolve.engine import Propagator, Solver, Status
 from tdsolve.propagators import AtLeastOne, CardinalityAtMost, UnionEquals
 
 
@@ -93,34 +93,18 @@ def test_witness_satisfies_all_constraints():
     assert s.check_witness(report.witness)
 
 
-def test_value_order_descending():
-    s = Solver()
-    x = s.int_var(0, 5)
-    report = s.solve(strategy=Strategy(value="descending"))
-    assert report.witness[x] == 5
-
-
-def test_input_order_variable_selection():
-    s = Solver()
-    x = s.int_var(0, 5)
-    y = s.int_var(0, 1)
-    report = s.solve(strategy=Strategy(variable="input_order"))
-    assert report.status is Status.SAT
-    # x branched first despite its larger domain
-    assert report.witness[x] == 0
-
-
 def test_min_domain_ties_break_by_position():
-    # y before x in the decision list: branching y=1 leaves x open (two
-    # decisions); picking x first would fix y by propagation (one).
+    # y before x in the decision list: branching y=0 fixes x by
+    # propagation (one decision); picking x first would leave y open
+    # after x=0 (two).
     s = Solver()
     x = s.int_var(0, 1)
     y = s.int_var(0, 1)
     s.post(Implies(x, y))
-    report = s.solve(decision_vars=[y, x], strategy=Strategy(value="descending"))
+    report = s.solve(decision_vars=[y, x])
     assert report.status is Status.SAT
-    assert report.witness[x] == 1 and report.witness[y] == 1
-    assert report.decisions == 2
+    assert report.witness[x] == 0 and report.witness[y] == 0
+    assert report.decisions == 1
 
 
 def test_decision_limit_returns_indeterminate():

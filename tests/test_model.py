@@ -15,7 +15,7 @@ from helpers import (
     snapshot,
 )
 from tdsolve.driver import _schedule_pairs, decide
-from tdsolve.engine import Status, Strategy
+from tdsolve.engine import Status
 from tdsolve.model import Variant, build_model, extract_decomposition
 from tdsolve.propagators import LexLeq
 from tdsolve.validator import validate
@@ -168,7 +168,7 @@ def test_full_model_propagation_is_idempotent():
                     while consistent:
                         _assert_at_fixpoint(solver)
                         checked += 1
-                        alternatives = solver._branch(mi.decision_vars, Strategy())
+                        alternatives = solver._branch(mi.decision_vars)
                         if alternatives is None:
                             break
                         solver._apply(rng.choice(alternatives))

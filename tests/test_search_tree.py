@@ -7,14 +7,21 @@ The values were recorded before propagators woke on typed set events,
 before RunningIntersection was merged per child node and before LexLeq
 ran on set bounds. An exact propagation change keeps every one of them;
 only the propagation count may move.
+
+Every pinned step is searched again through ``decide``, so the final
+UNSAT search stays pinned although the schedule now answers a step with
+w <= minor_min_width(g) by the bound: the schedule must match the same
+table except that such a step reads 0 decisions and 0 fails and carries
+the certificate.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from tdsolve.driver import pathwidth, treewidth
+from tdsolve.driver import decide, minor_min_width, pathwidth, treewidth
 from tdsolve.graphs import Graph
+from tdsolve.model import Variant
 
 # (n, edges, treewidth steps, pathwidth steps)
 PINNED = [
@@ -118,13 +125,28 @@ PINNED = [
 ]
 
 
+def _row(step, decisions, fails):
+    return (step.m, step.w, step.status.value, decisions, fails)
+
+
 @pytest.mark.parametrize("index", range(len(PINNED)))
 @pytest.mark.parametrize("problem", ["treewidth", "pathwidth"])
 def test_search_tree_is_pinned(problem, index):
     n, edges, tw_steps, pw_steps = PINNED[index]
     g = Graph.from_edges(n, edges)
-    result = (treewidth if problem == "treewidth" else pathwidth)(g)
-    steps = [
-        (s.m, s.w, s.status.value, s.report.decisions, s.report.fails) for s in result.trace
+    pinned = tw_steps if problem == "treewidth" else pw_steps
+    variant = Variant.TREE if problem == "treewidth" else Variant.PATH
+    searched = []
+    for m, w, *_ in pinned:
+        step = decide(g, m, w, variant=variant)
+        searched.append(_row(step, step.report.decisions, step.report.fails))
+    assert searched == pinned
+
+    lb, minor = minor_min_width(g)
+    trace = (treewidth if problem == "treewidth" else pathwidth)(g).trace
+    expected = [
+        (m, w, status, 0, 0) if w <= lb else (m, w, status, decisions, fails)
+        for m, w, status, decisions, fails in pinned
     ]
-    assert steps == (tw_steps if problem == "treewidth" else pw_steps)
+    assert [_row(s, s.report.decisions, s.report.fails) for s in trace] == expected
+    assert [s.bound for s in trace] == [minor if s.w <= lb else None for s in trace]
