@@ -20,7 +20,7 @@ from .driver import (
 )
 from .engine import SolveReport, Solver, Status
 from .graphio import ParseError, export_dot, parse_edge_list, parse_gr, parse_td, write_td
-from .graphs import Graph, TreeDecomposition, oriented_at_zero, rooted_at
+from .graphs import Graph, TreeDecomposition
 from .model import ModelInstance, Variant, build_model, extract_decomposition
 from .oracle import (
     OracleResult,
@@ -34,8 +34,6 @@ from .validator import Violation, ViolationKind, check_minor_bound, validate
 __all__ = [
     "Graph",
     "TreeDecomposition",
-    "oriented_at_zero",
-    "rooted_at",
     "ParseError",
     "parse_gr",
     "parse_edge_list",

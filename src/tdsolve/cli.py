@@ -34,15 +34,19 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
 
 
-def _load_graph(path: str, fmt: str):
+def _load(path: str, parse):
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise ParseError(0, f"cannot read {path}: {exc}") from None
     try:
-        return parse_gr(text) if fmt == "gr" else parse_edge_list(text)
+        return parse(text)
     except ParseError as exc:
         raise ParseError(exc.line_no, f"{path}: {exc.message}") from None
+
+
+def _load_graph(path: str, fmt: str):
+    return _load(path, parse_gr if fmt == "gr" else parse_edge_list)
 
 
 def _step_line(step, stats: bool) -> str:
@@ -97,7 +101,6 @@ def _cmd_width(args, runner, label: str) -> int:
     try:
         result = runner(
             g,
-            strict_paper_schedule=args.strict_paper_schedule,
             symmetry_breaking=not args.no_symmetry_breaking,
             decision_limit=args.decision_limit,
             timeout=args.timeout,
@@ -117,12 +120,7 @@ def _cmd_width(args, runner, label: str) -> int:
 
 def _cmd_validate(args) -> int:
     g = _load_graph(args.graph, args.format)
-    try:
-        td = parse_td(Path(args.decomposition).read_text())
-    except OSError as exc:
-        raise ParseError(0, f"cannot read {args.decomposition}: {exc}") from None
-    except ParseError as exc:
-        raise ParseError(exc.line_no, f"{args.decomposition}: {exc.message}") from None
+    td = _load(args.decomposition, parse_td)
     violations = validate(g, td, expect_m=args.m, expect_w=args.w)
     if violations:
         for violation in violations:
@@ -148,14 +146,7 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_export_dot(args) -> int:
     g = _load_graph(args.graph, args.format)
-    td = None
-    if args.td:
-        try:
-            td = parse_td(Path(args.td).read_text())
-        except OSError as exc:
-            raise ParseError(0, f"cannot read {args.td}: {exc}") from None
-        except ParseError as exc:
-            raise ParseError(exc.line_no, f"{args.td}: {exc.message}") from None
+    td = _load(args.td, parse_td) if args.td else None
     dot = export_dot(g, td)
     if args.output:
         Path(args.output).write_text(dot)
@@ -201,11 +192,6 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         sub = commands.add_parser(name, help=f"compute the exact {label} with a witness")
         _add_graph_arg(sub)
-        sub.add_argument(
-            "--strict-paper-schedule",
-            action="store_true",
-            help="stop the schedule at the w=2 step",
-        )
         _add_solver_flags(sub)
         sub.set_defaults(func=lambda args, r=runner, l=label: _cmd_width(args, r, l))
 

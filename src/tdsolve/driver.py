@@ -2,9 +2,8 @@
 instances: (m, w) = (1, n), (2, n-1), ... with m + w = n + 1 at every
 step. The first step is always satisfiable (the single node holding all
 vertices); the first unsatisfiable step proves that the previous step's
-width is minimum. By default the schedule runs down to w = 1 so that
-edgeless graphs report their true minimum width; the strict variant
-stops after the w = 2 step.
+width is minimum. The schedule runs down to w = 1 so that edgeless
+graphs report their true minimum width.
 
 Before the first step the schedule computes the minor-min-width lower
 bound lb <= tw(g) and has the validator check its certificate. A step
@@ -143,24 +142,13 @@ def minor_min_width(g: Graph) -> tuple[int, tuple[frozenset[int], ...]]:
     return lb, minor
 
 
-def _schedule_pairs(n: int, strict: bool) -> list[tuple[int, int]]:
-    pairs = []
-    m = 1
-    while True:
-        w = n + 1 - m
-        if w < 1 or (strict and w < 2 and m > 1):
-            break
-        pairs.append((m, w))
-        if w == 1 or (strict and w == 2):
-            break
-        m += 1
-    return pairs
+def _schedule_pairs(n: int) -> list[tuple[int, int]]:
+    return [(m, n + 1 - m) for m in range(1, n + 1)]
 
 
 def _run_schedule(
     g: Graph,
     variant: Variant,
-    strict: bool,
     symmetry_breaking: bool,
     decision_limit: int | None,
     timeout: float | None,
@@ -178,7 +166,7 @@ def _run_schedule(
                 + "; ".join(str(v) for v in violations)
             )
         bound_s = time.perf_counter() - start
-        for m, w in _schedule_pairs(g.n, strict):
+        for m, w in _schedule_pairs(g.n):
             if w <= lb:
                 report = SolveReport(Status.UNSAT, None, 0, 0, 0, bound_s)
                 trace.append(ScheduleStep(m, w, Status.UNSAT, report, None, bound=minor))
@@ -213,38 +201,22 @@ def _run_schedule(
 
 def treewidth(
     g: Graph,
-    strict_paper_schedule: bool = False,
     symmetry_breaking: bool = True,
     decision_limit: int | None = None,
     timeout: float | None = None,
 ) -> WidthResult:
     """Minimum decomposition width of g, with a validated witness."""
-    return _run_schedule(
-        g,
-        Variant.TREE,
-        strict_paper_schedule,
-        symmetry_breaking,
-        decision_limit,
-        timeout,
-    )
+    return _run_schedule(g, Variant.TREE, symmetry_breaking, decision_limit, timeout)
 
 
 def pathwidth(
     g: Graph,
-    strict_paper_schedule: bool = False,
     symmetry_breaking: bool = True,
     decision_limit: int | None = None,
     timeout: float | None = None,
 ) -> WidthResult:
     """Minimum path-decomposition width of g, with a validated witness."""
-    return _run_schedule(
-        g,
-        Variant.PATH,
-        strict_paper_schedule,
-        symmetry_breaking,
-        decision_limit,
-        timeout,
-    )
+    return _run_schedule(g, Variant.PATH, symmetry_breaking, decision_limit, timeout)
 
 
 def max_nodes_bound(n: int, w: int) -> int:

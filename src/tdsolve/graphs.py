@@ -153,25 +153,3 @@ def oriented_at_zero(
     if len(seen) != m:
         raise ValueError("tree edges do not connect all nodes")
     return TreeDecomposition(tuple(node_sets), tuple(parent), tuple(depth))
-
-
-def rooted_at(
-    nodes: Iterable[Iterable[int]],
-    tree_edges: Iterable[tuple[int, int]],
-    root: int,
-) -> TreeDecomposition:
-    """Like :func:`oriented_at_zero` but rooted at an arbitrary node,
-    which swaps indices with node 0. All other indices are kept."""
-    node_sets = [frozenset(b) for b in nodes]
-    m = len(node_sets)
-    if not (0 <= root < m):
-        raise ValueError(f"root {root} out of range")
-    if root == 0:
-        return oriented_at_zero(node_sets, tree_edges)
-
-    def swap(i: int) -> int:
-        return {0: root, root: 0}.get(i, i)
-
-    swapped_nodes = [node_sets[swap(i)] for i in range(m)]
-    swapped_edges = [(swap(a), swap(b)) for a, b in tree_edges]
-    return oriented_at_zero(swapped_nodes, swapped_edges)

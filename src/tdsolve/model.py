@@ -2,15 +2,15 @@
 into engine variables and propagators, and decode solved instances.
 
 Variables per instance: one set variable per decomposition node, parent
-and depth integers per node, one 0/1 location variable per (edge, node)
-pair, and one shared-vertices set variable per unordered node pair
-(aliased for both orders). The unary facts are part of the initial
-domains: node 0 is the root at depth 0, no node is its own parent, and
-on a path node i hangs from node i - 1. One running-intersection
-propagator per child node covers every other node. Symmetry breaking
-orders node sets lexicographically on their membership vectors, vertex
-0 first: every consecutive pair for free-form trees, first against last
-for path-shaped instances (whose only node symmetry is reversal).
+and depth integers per node, and one 0/1 location variable per (edge,
+node) pair. The unary facts are part of the initial domains: node 0 is
+the root at depth 0, no node is its own parent, and on a path node i
+hangs from node i - 1. One running-intersection propagator per child
+node covers every other node, reading the vertices two nodes share
+straight from their set variables. Symmetry breaking orders node sets
+lexicographically on their membership vectors, vertex 0 first: every
+consecutive pair for free-form trees, first against last for
+path-shaped instances (whose only node symmetry is reversal).
 """
 
 from __future__ import annotations
@@ -39,19 +39,7 @@ class ModelInstance:
     parents: list[IntVar]
     depths: list[IntVar]
     locations: list[IntVar]  # flattened, edge-major then node index
-    location_index: dict[tuple[int, int, int], IntVar]  # (u, v, k) with u < v
-    intersections: dict[tuple[int, int], SetVar]  # keyed (i, j) with i < j
     decision_vars: list[IntVar]
-
-    def intersection(self, i: int, j: int) -> SetVar:
-        """Shared-vertices variable for nodes i and j, either order."""
-        if i == j:
-            raise ValueError("a node has no intersection variable with itself")
-        return self.intersections[(i, j) if i < j else (j, i)]
-
-    def location(self, u: int, v: int, k: int) -> IntVar:
-        """Location variable of edge (u, v) in node k, either orientation."""
-        return self.location_index[(u, v, k) if u < v else (v, u, k)]
 
 
 def build_model(
@@ -91,33 +79,23 @@ def build_model(
         solver.post(props.CardinalityAtMost(x, w))
     solver.post(props.UnionEquals(node_sets, (1 << g.n) - 1))
 
-    intersections: dict[tuple[int, int], SetVar] = {}
-    for i in range(m):
-        for j in range(i + 1, m):
-            shared = solver.set_var(g.n, f"shared{i}_{j}")
-            intersections[(i, j)] = shared
-            solver.post(props.IntersectionOf(shared, node_sets[i], node_sets[j]))
-
     for i in range(1, m):
         solver.post(props.ParentDepth(i, parents[i], depths))
 
     locations: list[IntVar] = []
-    location_index: dict[tuple[int, int, int], IntVar] = {}
     for u, v in g.edges:
         row = []
         for k in range(m):
             bit = solver.int_var(0, 1, f"loc{u}_{v}_{k}")
             row.append(bit)
             locations.append(bit)
-            location_index[(u, v, k)] = bit
             solver.post(props.EdgeInNode(bit, u, v, node_sets[k]))
         solver.post(props.AtLeastOne(row))
 
-    # The root needs none: its parent is itself, and IntersectionOf
-    # already keeps each shared set inside node 0.
+    # The root needs none: its parent is itself, which holds everything
+    # it shares with any node.
     for k in range(1, m):
-        shared = {i: intersections[(i, k) if i < k else (k, i)] for i in range(m) if i != k}
-        solver.post(props.RunningIntersection(k, depths, shared, parents[k], node_sets))
+        solver.post(props.RunningIntersection(k, depths, parents[k], node_sets))
 
     if symmetry_breaking and m > 1:
         if variant is Variant.TREE:
@@ -139,8 +117,6 @@ def build_model(
         parents=parents,
         depths=depths,
         locations=locations,
-        location_index=location_index,
-        intersections=intersections,
         decision_vars=parents + locations,
     )
 

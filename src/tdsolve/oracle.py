@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
 
-from .graphs import Graph, TreeDecomposition, rooted_at
+from .graphs import Graph, TreeDecomposition
 
 DEFAULT_TREEWIDTH_LIMIT = 9
 DEFAULT_PATHWIDTH_LIMIT = 8
@@ -57,8 +57,13 @@ def elimination_width(g: Graph, order: Sequence[int]) -> int:
 
 
 def decomposition_from_order(g: Graph, order: Sequence[int]) -> TreeDecomposition:
-    """Decomposition induced by an elimination order, rooted at the
-    last-eliminated vertex's bag; its width is elimination_width."""
+    """Decomposition induced by an elimination order; its width is
+    elimination_width.
+
+    Bags are indexed in reverse elimination order: node 0, the root, is
+    the last-eliminated vertex's bag, and every parent index is smaller
+    than its child's.
+    """
     _check_order(g.n, order)
     position = {v: t for t, v in enumerate(order)}
     adj = [set(s) for s in g.adjacency]
@@ -72,11 +77,12 @@ def decomposition_from_order(g: Graph, order: Sequence[int]) -> TreeDecompositio
         for u in neighbors:
             adj[u].remove(v)
         adj[v].clear()
-    edges = []
-    for t in range(g.n - 1):
+    last = g.n - 1
+    parent = [0] * g.n
+    for t in range(last):
         later = [position[u] for u in bags[t] if position[u] > t]
-        edges.append((t, min(later) if later else t + 1))
-    return rooted_at(bags, edges, root=g.n - 1)
+        parent[last - t] = last - (min(later) if later else t + 1)
+    return TreeDecomposition.from_parents(bags[::-1], parent)
 
 
 def brute_treewidth(g: Graph, limit: int = DEFAULT_TREEWIDTH_LIMIT) -> OracleResult:

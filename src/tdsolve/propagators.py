@@ -75,30 +75,6 @@ class UnionEquals(Propagator):
         return acc == set(bits_of(self.universe))
 
 
-class IntersectionOf(Propagator):
-    """Z == X & Y, at subset-bound strength."""
-
-    __slots__ = ("z", "x", "y")
-
-    def __init__(self, z: SetVar, x: SetVar, y: SetVar):
-        super().__init__([z, x, y])
-        self.z = z
-        self.x = x
-        self.y = y
-
-    def propagate(self) -> None:
-        x, y, z = self.x, self.y, self.z
-        z.require_mask(x.required & y.required)
-        z.restrict(x.possible & y.possible)
-        x.require_mask(z.required)
-        y.require_mask(z.required)
-        x.restrict(~(y.required & ~z.possible))
-        y.restrict(~(x.required & ~z.possible))
-
-    def satisfied(self, value_of) -> bool:
-        return value_of(self.z) == value_of(self.x) & value_of(self.y)
-
-
 class EdgeInNode(Propagator):
     """bit == 1 <=> both endpoints of the edge are in the node."""
 
@@ -198,42 +174,41 @@ class RunningIntersection(Propagator):
     deep as node k, the vertices shared by i and k must all appear in
     k's parent node.
 
-    ``shared`` maps each other node i to the shared-vertices variable of
-    i and k. Only ``possible`` of the node sets is read, so their
-    ``required`` changes do not wake this propagator, and only
-    ``required`` of the shared sets is read.
+    The shared vertices are read straight from the node sets: those
+    both nodes require. Once the guard is certainly true and the parent
+    p is fixed, node p must hold them, and a vertex that one of the two
+    nodes requires but node p cannot hold is excluded from the other.
     """
 
-    __slots__ = ("depth_k", "parent_k", "node_sets", "pairs")
+    __slots__ = ("node_k", "depth_k", "parent_k", "node_sets", "pairs")
 
     def __init__(
         self,
         k: int,
         depths: list[IntVar],
-        shared: dict[int, SetVar],
         parent_k: IntVar,
         node_sets: list[SetVar],
     ):
-        if k in shared:
-            raise ValueError("a node shares no variable with itself")
-        super().__init__(
-            list(depths) + [parent_k], required=shared.values(), possible=node_sets
-        )
+        if len(depths) != len(node_sets) or not 0 <= k < len(node_sets):
+            raise ValueError(f"child node {k} is not one of {len(node_sets)} nodes")
+        super().__init__(list(depths) + [parent_k] + list(node_sets))
+        self.node_k = node_sets[k]
         self.depth_k = depths[k]
         self.parent_k = parent_k
         self.node_sets = list(node_sets)
-        self.pairs = [(depths[i], shared[i]) for i in sorted(shared)]
+        self.pairs = [(depths[i], node_sets[i]) for i in range(len(node_sets)) if i != k]
 
     def propagate(self) -> None:
+        node_k = self.node_k
         depth_k = self.depth_k
         parent = self.parent_k
         node_sets = self.node_sets
-        for depth_i, shared in self.pairs:
+        for depth_i, node_i in self.pairs:
             dk = depth_k.mask
             di = depth_i.mask
             if (di & -di).bit_length() > dk.bit_length():
                 continue  # guard certainly false: depth_i.min > depth_k.max
-            shared_req = shared.required
+            shared_req = node_i.required & node_k.required
             candidates = parent.mask
             if not shared_req and candidates & (candidates - 1):
                 continue  # every candidate absorbs the empty set
@@ -252,8 +227,9 @@ class RunningIntersection(Propagator):
                 candidates = parent.mask
                 if candidates & (candidates - 1) == 0:
                     target = node_sets[candidates.bit_length() - 1]
-                    target.require_mask(shared.required)
-                    shared.restrict(target.possible)
+                    target.require_mask(shared_req)
+                    node_i.restrict(~(node_k.required & ~target.possible))
+                    node_k.restrict(~(node_i.required & ~target.possible))
             elif blocked == candidates:
                 # guard undecided and no parent can hold the subset:
                 # force node i strictly deeper than node k
@@ -262,10 +238,11 @@ class RunningIntersection(Propagator):
 
     def satisfied(self, value_of) -> bool:
         depth_k = value_of(self.depth_k)
+        node_k = value_of(self.node_k)
         bag = value_of(self.node_sets[value_of(self.parent_k)])
         return all(
-            value_of(shared) <= bag
-            for depth_i, shared in self.pairs
+            value_of(node_i) & node_k <= bag
+            for depth_i, node_i in self.pairs
             if value_of(depth_i) <= depth_k
         )
 

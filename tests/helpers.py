@@ -160,7 +160,6 @@ def random_constraint_instance(rng: random.Random) -> Solver:
         AtLeastOne,
         CardinalityAtMost,
         EdgeInNode,
-        IntersectionOf,
         LexLeq,
         ParentDepth,
         RunningIntersection,
@@ -168,7 +167,7 @@ def random_constraint_instance(rng: random.Random) -> Solver:
     )
 
     s = Solver()
-    kind = rng.randrange(8)
+    kind = rng.randrange(7)
     if kind == 0:
         x = s.set_var(4)
         tighten_randomly(s, rng)
@@ -181,33 +180,28 @@ def random_constraint_instance(rng: random.Random) -> Solver:
             universe |= x.possible
         s.post(UnionEquals(xs, universe))
     elif kind == 2:
-        z, x, y = (s.set_var(3) for _ in range(3))
-        tighten_randomly(s, rng)
-        s.post(IntersectionOf(z, x, y))
-    elif kind == 3:
         b = s.int_var(0, 1)
         x = s.set_var(4)
         tighten_randomly(s, rng)
         s.post(EdgeInNode(b, 0, 2, x))
-    elif kind == 4:
+    elif kind == 3:
         bits = [s.int_var(0, 1) for _ in range(rng.randint(1, 4))]
         tighten_randomly(s, rng)
         s.post(AtLeastOne(bits))
-    elif kind == 5:
+    elif kind == 4:
         size = rng.randint(2, 4)
         parent = s.int_var(0, size - 1)
         depths = [s.int_var(0, size - 1) for _ in range(size)]
         tighten_randomly(s, rng)
         s.post(ParentDepth(rng.randrange(1, size), parent, depths))
-    elif kind == 6:
+    elif kind == 5:
         nodes_n = 3
         k = rng.randrange(nodes_n)
         depths = [s.int_var(0, nodes_n - 1) for _ in range(nodes_n)]
         parent_k = s.int_var(0, nodes_n - 1)
-        shared = {i: s.set_var(2) for i in range(nodes_n) if i != k}
         nodes = [s.set_var(2) for _ in range(nodes_n)]
         tighten_randomly(s, rng)
-        s.post(RunningIntersection(k, depths, shared, parent_k, nodes))
+        s.post(RunningIntersection(k, depths, parent_k, nodes))
     else:
         size = rng.randint(1, 4)
         a, b = s.set_var(size), s.set_var(size)

@@ -126,20 +126,16 @@ def test_criterion_4_known_families():
         _record(g, result)
     for n in (1, 3, 5):
         assert treewidth(edgeless_graph(n)).min_width == 1
-        if n > 1:
-            assert treewidth(edgeless_graph(n), strict_paper_schedule=True).min_width == 2
     print("criterion 4 PASS: cliques, cycles, 20 random trees, edgeless graphs")
 
 
-def test_criterion_4_strict_schedule_flag_on_cli(tmp_path, capsys):
+def test_criterion_4_edgeless_graph_on_cli(tmp_path, capsys):
     from tdsolve.cli import main
 
     f = tmp_path / "edgeless.gr"
     f.write_text("p tw 4 0\n")
     assert main(["treewidth", str(f)]) == 0
     assert "min_width=1" in capsys.readouterr().out
-    assert main(["treewidth", str(f), "--strict-paper-schedule"]) == 0
-    assert "min_width=2" in capsys.readouterr().out
 
 
 def test_criterion_5_eight_vertex_schedules_within_cap():
@@ -304,7 +300,7 @@ def test_criterion_8_symmetry_breaking_soundness():
     decisions_without = 0
     for n in range(1, 5):
         for g in all_labeled_graphs(n):
-            for m, w in _schedule_pairs(n, strict=False):
+            for m, w in _schedule_pairs(n):
                 a = decide(g, m, w, symmetry_breaking=True)
                 b = decide(g, m, w, symmetry_breaking=False)
                 assert a.status == b.status, (g.edges, m, w)

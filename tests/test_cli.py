@@ -38,13 +38,6 @@ def test_treewidth_trace_and_result(p3, capsys):
     assert "treewidth=1" in lines
 
 
-def test_strict_schedule_flag(p3, capsys):
-    assert main(["treewidth", p3, "--strict-paper-schedule"]) == 0
-    out = capsys.readouterr().out
-    assert "m=3" not in out
-    assert "min_width=2" in out
-
-
 def test_stdout_byte_identical_across_runs(k3, capsys):
     main(["treewidth", k3])
     first = capsys.readouterr().out
@@ -181,6 +174,21 @@ def test_missing_file_is_error(capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["validate", "export-dot"])
+@pytest.mark.parametrize("td_text", [None, "s td 2 1 3\nb 1 1\nb 2 9\n1 2\n"])
+def test_td_input_errors_name_the_file(command, td_text, p3, tmp_path, capsys):
+    td = tmp_path / "witness.td"
+    if td_text is not None:
+        td.write_text(td_text)
+    argv = [command, p3, str(td)] if command == "validate" else [command, p3, "--td", str(td)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "witness.td" in captured.err
+    if td_text is not None:
+        assert "line 3" in captured.err
+
+
 def test_usage_error_exit_code(k3):
     with pytest.raises(SystemExit) as err:
         main(["decide", k3])  # missing --m/--w
@@ -192,6 +200,7 @@ def test_timeout_indeterminate_on_width_command(tmp_path, capsys):
     g.write_text("p tw 6 9\n1 2\n2 3\n3 4\n4 5\n5 6\n6 1\n1 4\n2 5\n3 6\n")
     assert main(["treewidth", str(g), "--decision-limit", "1"]) == 2
     assert "INDETERMINATE" in capsys.readouterr().out
+
 
 def test_bound_decided_step_line(p3, capsys):
     assert main(["treewidth", p3]) == 0

@@ -78,15 +78,6 @@ def test_treewidth_edgeless():
     assert result.treewidth == 0
 
 
-def test_strict_schedule_stops_at_width_two():
-    result = treewidth(edgeless_graph(3), strict_paper_schedule=True)
-    assert outcomes(result)[-1] == (2, 2, Status.SAT)
-    assert result.min_width == 2
-    assert result.witness.width == 2  # pigeonhole: 3 vertices in 2 nodes
-    # and a single vertex still works
-    assert treewidth(path_graph(1), strict_paper_schedule=True).min_width == 1
-
-
 def test_schedule_invariants():
     rng = random.Random(31)
     for _ in range(15):

@@ -141,6 +141,7 @@ def test_parse_td_reroots_foreign_files():
         "b 1 1\ns td 1 1 1",  # content before header
         "s td 2 1 2\nb 1 1\nb 2 2",  # missing tree edge
         "s td 2 1 2\nb 1 1\nb 2 2\n1 2\n2 1",  # too many edges
+        "s td 4 1 4\nb 1 1\nb 2 2\nb 3 3\nb 4 4\n2 3\n3 4\n4 2",  # m - 1 edges, a cycle
         "s td 1 1 1\nb 1 1\nb 1 1",  # duplicate node id
         "s td 1 1 1\nb 2 1",  # id out of range
         "s td 1 2 1\nb 1 1 5",  # vertex out of range

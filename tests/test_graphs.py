@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from tdsolve.graphs import Graph, TreeDecomposition, rooted_at
+from tdsolve.graphs import Graph, TreeDecomposition
 
 
 def test_from_edges_normalizes_orientation_and_duplicates():
@@ -49,23 +49,3 @@ def test_from_parents_rejects_broken_shapes():
         TreeDecomposition.from_parents([{0}, {1}], [0, 1])  # self-parent
     with pytest.raises(ValueError):
         TreeDecomposition.from_parents([{0}, {1}, {2}], [0, 2, 1])  # cycle
-
-
-def test_rooted_at_relabels_to_root_zero():
-    # star of nodes: center 2 touching 0, 1, 3
-    nodes = [{0}, {1}, {0, 1, 2}, {2, 3}]
-    td = rooted_at(nodes, [(0, 2), (1, 2), (2, 3)], root=2)
-    assert td.nodes[0] == frozenset({0, 1, 2})
-    assert td.parent[0] == 0
-    as_multiset = sorted(tuple(sorted(b)) for b in td.nodes)
-    assert as_multiset == sorted(tuple(sorted(b)) for b in nodes)
-    assert td.depth == (0, 1, 1, 1)
-
-
-def test_rooted_at_rejects_non_trees():
-    with pytest.raises(ValueError):
-        rooted_at([{0}, {1}], [], root=0)  # disconnected
-    with pytest.raises(ValueError):
-        rooted_at([{0}, {1}, {2}], [(0, 1), (1, 2), (2, 0)], root=0)  # cycle
-    with pytest.raises(ValueError):
-        rooted_at([{0}], [], root=3)

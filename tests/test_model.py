@@ -29,7 +29,7 @@ def test_variable_counts_k3():
     mi = build_model(complete_graph(3), m=1, w=3)
     assert len(mi.node_sets) == 1
     assert len(mi.locations) == 3  # 3 edges x 1 node
-    assert len(mi.intersections) == 0
+    assert len(mi.solver.set_vars) == 1
     assert lex_count(mi) == 0
 
 
@@ -37,7 +37,7 @@ def test_variable_counts_c4():
     mi = build_model(cycle_graph(4), m=3, w=2)
     assert len(mi.node_sets) == 3
     assert len(mi.locations) == 12  # 4 edges x 3 nodes
-    assert len(mi.intersections) == 3
+    assert len(mi.solver.set_vars) == 3
     assert lex_count(mi) == 2
 
 
@@ -47,8 +47,12 @@ def test_size_formulas(m):
     mi = build_model(g, m=m, w=3)
     assert len(mi.node_sets) == m
     assert len(mi.locations) == g.edge_count * m
-    assert len(mi.intersections) == m * (m - 1) // 2
+    assert len(mi.solver.set_vars) == m
     assert lex_count(mi) == m - 1
+    # per node: cardinality; per child node: parent-depth, running
+    # intersection, lex; per edge: one location per node plus at-least-one;
+    # and the union
+    assert len(mi.solver.propagators) == m + 3 * (m - 1) + g.edge_count * (m + 1) + 1
     assert mi.decision_vars == mi.parents + mi.locations
 
 
@@ -56,18 +60,6 @@ def test_path_variant_lex_is_reversal_only():
     g = path_graph(4)
     mi = build_model(g, m=3, w=2, variant=Variant.PATH)
     assert lex_count(mi) == 1
-
-
-def test_intersection_accessor_aliases_both_orders():
-    mi = build_model(cycle_graph(4), m=3, w=3)
-    assert mi.intersection(0, 2) is mi.intersection(2, 0)
-    with pytest.raises(ValueError):
-        mi.intersection(1, 1)
-
-
-def test_location_accessor_both_orientations():
-    mi = build_model(path_graph(3), m=2, w=2)
-    assert mi.location(1, 0, 1) is mi.location(0, 1, 1)
 
 
 def test_build_rejects_degenerate_inputs():
@@ -113,7 +105,7 @@ def test_every_witness_validates():
     rng = random.Random(5)
     for _ in range(20):
         g = random_graph(rng.randint(2, 5), 0.5, rng)
-        pairs = _schedule_pairs(g.n, strict=False)
+        pairs = _schedule_pairs(g.n)
         m, w = pairs[rng.randrange(len(pairs))]
         step = decide(g, m, w)
         if step.status is Status.SAT:
@@ -161,7 +153,7 @@ def test_full_model_propagation_is_idempotent():
         for _ in range(4):
             g = random_graph(n, 0.5, rng)
             for variant in Variant:
-                for m, w in _schedule_pairs(n, strict=False)[1:4]:
+                for m, w in _schedule_pairs(n)[1:4]:
                     mi = build_model(g, m, w, variant=variant)
                     solver = mi.solver
                     consistent = solver.propagate()
@@ -180,7 +172,7 @@ def test_lex_toggle_preserves_outcomes_small():
     # exhaustive n <= 3; the n = 4 sweep lives in the acceptance suite
     for n in range(1, 4):
         for g in all_labeled_graphs(n):
-            for m, w in _schedule_pairs(n, strict=False):
+            for m, w in _schedule_pairs(n):
                 with_lex = decide(g, m, w, symmetry_breaking=True)
                 without = decide(g, m, w, symmetry_breaking=False)
                 assert with_lex.status == without.status
@@ -190,7 +182,7 @@ def test_lex_toggle_preserves_outcomes_sampled_n5():
     rng = random.Random(61)
     for _ in range(40):
         g = random_graph(5, 0.5, rng)
-        for m, w in _schedule_pairs(5, strict=False):
+        for m, w in _schedule_pairs(5):
             with_lex = decide(g, m, w, symmetry_breaking=True)
             without = decide(g, m, w, symmetry_breaking=False)
             assert with_lex.status == without.status, (g.edges, m, w)

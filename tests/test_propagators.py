@@ -18,7 +18,6 @@ from tdsolve.propagators import (
     AtLeastOne,
     CardinalityAtMost,
     EdgeInNode,
-    IntersectionOf,
     LexLeq,
     ParentDepth,
     RunningIntersection,
@@ -75,35 +74,6 @@ def test_union_two_supports_no_change():
     s.post(UnionEquals(xs, 0b11))
     assert s.propagate()
     assert xs[0].required == 0 and xs[1].required == 0
-
-
-def test_intersection_required_both_sides():
-    s = Solver()
-    x, y, z = (s.set_var(3) for _ in range(3))
-    x.require_mask(0b010)
-    y.require_mask(0b010)
-    s.post(IntersectionOf(z, x, y))
-    assert s.propagate()
-    assert z.required & 0b010
-
-
-def test_intersection_possible_narrows():
-    s = Solver()
-    x, y, z = (s.set_var(4) for _ in range(3))
-    x.restrict(0b0110)
-    y.restrict(0b1100)
-    s.post(IntersectionOf(z, x, y))
-    assert s.propagate()
-    assert z.possible == 0b0100
-
-
-def test_intersection_unsupported_required_fails():
-    s = Solver()
-    x, y, z = (s.set_var(5) for _ in range(3))
-    z.require_mask(0b10000)
-    x.restrict(0b00110)
-    s.post(IntersectionOf(z, x, y))
-    assert not s.propagate()
 
 
 def test_edge_in_node_channels_both_ways():
@@ -189,66 +159,75 @@ def test_parent_depth_compatible_candidates_untouched():
     assert parent.domain() == [0, 2]
 
 
-def _running_intersection_setup(n_nodes=3, universe=3):
-    # child node k = 1, one other node i = 0
+def _running_intersection_setup():
+    # child node k = 1, node i = 0, node 2 the other parent candidate
     s = Solver()
-    depths = [s.int_var(0, n_nodes - 1) for _ in range(n_nodes)]
-    shared = s.set_var(universe)
-    parent_k = s.int_var(0, n_nodes - 1)
-    nodes = [s.set_var(universe) for _ in range(n_nodes)]
-    prop = RunningIntersection(1, depths, {0: shared}, parent_k, nodes)
-    return s, depths[0], depths[1], shared, parent_k, nodes, prop
+    depths = [s.int_var(0, 2) for _ in range(3)]
+    parent_k = s.int_var(0, 2)
+    parent_k.remove(1)
+    nodes = [s.set_var(3) for _ in range(3)]
+    prop = RunningIntersection(1, depths, parent_k, nodes)
+    return s, depths[0], depths[1], parent_k, nodes, prop
 
 
 def test_running_intersection_prunes_parent_candidates():
-    s, depth_i, depth_k, shared, parent_k, nodes, prop = _running_intersection_setup()
+    s, depth_i, depth_k, parent_k, nodes, prop = _running_intersection_setup()
     depth_i.assign(0)  # guard certainly true
-    shared.require_mask(0b100)
-    nodes[1].restrict(0b011)  # vertex 2 impossible in node 1
+    nodes[0].require_mask(0b100)
+    nodes[1].require_mask(0b100)  # vertex 2 shared by nodes 0 and 1
+    nodes[2].restrict(0b011)  # vertex 2 impossible in node 2
     s.post(prop)
     assert s.propagate()
-    assert not parent_k.contains(1)
+    assert not parent_k.contains(2)
 
 
 def test_running_intersection_enforces_subset_when_parent_fixed():
-    s, depth_i, depth_k, shared, parent_k, nodes, prop = _running_intersection_setup()
+    s, depth_i, depth_k, parent_k, nodes, prop = _running_intersection_setup()
     depth_i.assign(0)
     parent_k.assign(2)
-    shared.require_mask(0b001)
+    nodes[0].require_mask(0b001)
+    nodes[1].require_mask(0b001)
     s.post(prop)
     assert s.propagate()
     assert nodes[2].required & 0b001
 
 
-def test_running_intersection_bounds_empty_shared_set_once_parent_fixed():
-    # nothing is required in the shared set, yet a fixed parent still
-    # bounds what it may hold
-    s, depth_i, depth_k, shared, parent_k, nodes, prop = _running_intersection_setup()
+def test_running_intersection_back_prunes_once_parent_fixed():
+    # a vertex that one node requires and the fixed parent cannot hold
+    # must leave the other node, although nothing is shared yet
+    s, depth_i, depth_k, parent_k, nodes, prop = _running_intersection_setup()
     depth_i.assign(0)
     parent_k.assign(2)
-    nodes[2].restrict(0b011)
+    nodes[1].require_mask(0b100)
+    nodes[0].require_mask(0b010)
+    nodes[2].restrict(0b001)
     s.post(prop)
     assert s.propagate()
-    assert shared.possible == 0b011
+    assert nodes[0].possible == 0b011
+    assert nodes[1].possible == 0b101
+    assert nodes[2].required == 0
 
 
 def test_running_intersection_idle_when_guard_false():
-    s, depth_i, depth_k, shared, parent_k, nodes, prop = _running_intersection_setup()
+    s, depth_i, depth_k, parent_k, nodes, prop = _running_intersection_setup()
     depth_i.intersect(0b100)  # depth 2
     depth_k.intersect(0b011)  # depths {0, 1}
-    shared.require_mask(0b111)
-    for node in nodes:
-        node.restrict(0)
+    parent_k.assign(2)
+    nodes[0].require_mask(0b111)
+    nodes[1].require_mask(0b111)
+    nodes[2].restrict(0)  # would fail under a true guard
+    before = snapshot(s)
     s.post(prop)
     assert s.propagate()
-    assert parent_k.size() == 3
+    assert snapshot(s) == before
 
 
 def test_running_intersection_forces_guard_negation():
-    s, depth_i, depth_k, shared, parent_k, nodes, prop = _running_intersection_setup()
-    shared.require_mask(0b001)
-    for node in nodes:
-        node.restrict(0b110)  # no node may take vertex 0
+    s, depth_i, depth_k, parent_k, nodes, prop = _running_intersection_setup()
+    parent_k.assign(2)
+    nodes[0].require_mask(0b001)
+    nodes[1].require_mask(0b001)
+    nodes[2].restrict(0b110)  # the parent may not take vertex 0
     s.post(prop)
     assert s.propagate()
     # bound-level consequence of depth_i > depth_k
@@ -264,21 +243,21 @@ def test_running_intersection_covers_every_other_node():
     # shared vertex pushed into node 0
     s = Solver()
     depths = [s.int_var(0, 2) for _ in range(3)]
-    shared = {0: s.set_var(3), 1: s.set_var(3)}
     parent_k = s.int_var(0, 1)
     nodes = [s.set_var(3) for _ in range(3)]
     depths[0].assign(0)
     depths[1].assign(1)
     depths[2].assign(2)
-    shared[0].require_mask(0b100)
-    shared[1].require_mask(0b010)
+    nodes[0].require_mask(0b100)
+    nodes[1].require_mask(0b010)
+    nodes[2].require_mask(0b110)
     nodes[1].restrict(0b011)
-    s.post(RunningIntersection(2, depths, shared, parent_k, nodes))
+    s.post(RunningIntersection(2, depths, parent_k, nodes))
     assert s.propagate()
     assert parent_k.value() == 0
     assert nodes[0].required == 0b110
     with pytest.raises(ValueError):
-        RunningIntersection(2, depths, {2: shared[0]}, parent_k, nodes)
+        RunningIntersection(3, depths, parent_k, nodes)
 
 
 def test_lex_base_cases():
