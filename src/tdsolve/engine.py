@@ -191,9 +191,9 @@ class Propagator:
     Subscriptions: every variable in ``watch`` wakes the propagator on
     any change (a set variable on either bound). A set variable listed
     only in ``required`` or only in ``possible`` wakes it only when that
-    bound changes. A propagator may leave out a set event only when its
-    pruning depends on neither of that event's bounds: leaving out one
-    it needs stops propagation short of the fixpoint.
+    bound changes. A propagator may leave out a set event only when that
+    event can never enable new pruning by it: leaving out one it needs
+    stops propagation short of the fixpoint.
     """
 
     __slots__ = ("queued",)
@@ -324,6 +324,7 @@ class Solver:
         decision_vars: Optional[list[IntVar]] = None,
         decision_limit: Optional[int] = None,
         timeout: Optional[float] = None,
+        hint: Optional[dict] = None,
     ) -> SolveReport:
         """Depth-first search with propagation to fixpoint at every node.
 
@@ -333,8 +334,17 @@ class Solver:
         exclude, lowest variable and element first) until every
         variable is fixed. Returns the first full assignment, or UNSAT
         after exhausting the tree, or INDETERMINATE when a limit is hit.
+
+        ``hint`` maps variables to preferred values (an int for an
+        IntVar, a membership mask for a SetVar). A hinted value is tried
+        first: a set element the hint leaves out is excluded before it
+        is included. The hint changes only the order of values, never
+        which variable is branched on, so an exhausted (UNSAT) tree is
+        the same with any hint. If the hint satisfies every constraint,
+        the search follows it to the end without a fail.
         """
         dvars = list(self.int_vars) if decision_vars is None else list(decision_vars)
+        hint = {} if hint is None else hint
         self.decisions = 0
         self.propagations = 0
         self.fails = 0
@@ -357,7 +367,7 @@ class Solver:
         # A frame is [trail mark, alternatives, index of the next one to try].
         frames: list[list] = []
         while True:
-            alternatives = self._branch(dvars)
+            alternatives = self._branch(dvars, hint)
             if alternatives is None:
                 return report(Status.SAT, self._witness())
             if decision_limit is not None and self.decisions >= decision_limit:
@@ -385,8 +395,9 @@ class Solver:
             if not descended:
                 return report(Status.UNSAT)
 
-    def _branch(self, dvars: list[IntVar]):
+    def _branch(self, dvars: list[IntVar], hint: Optional[dict] = None):
         """Alternatives at this node, or None when everything is fixed."""
+        hint = {} if hint is None else hint
         chosen = None
         best_size = None
         for var in dvars:
@@ -394,18 +405,23 @@ class Solver:
             if size > 1 and (best_size is None or size < best_size):
                 chosen = var
                 best_size = size
-        if chosen is not None:
-            return [("=", chosen, v) for v in chosen.domain()]
-
-        for svar in self.set_vars:
-            undecided = svar.undecided()
-            if undecided:
-                e = (undecided & -undecided).bit_length() - 1
-                return [("in", svar, e), ("out", svar, e)]
-        for var in self.int_vars:
-            if not var.is_fixed():
-                return [("=", var, v) for v in var.domain()]
-        return None
+        if chosen is None:
+            for svar in self.set_vars:
+                undecided = svar.undecided()
+                if undecided:
+                    e = (undecided & -undecided).bit_length() - 1
+                    if hint.get(svar, -1) >> e & 1:  # unhinted: include first
+                        return [("in", svar, e), ("out", svar, e)]
+                    return [("out", svar, e), ("in", svar, e)]
+            chosen = next((var for var in self.int_vars if not var.is_fixed()), None)
+            if chosen is None:
+                return None
+        values = chosen.domain()
+        preferred = hint.get(chosen)
+        if preferred in values:
+            values.remove(preferred)
+            values.insert(0, preferred)
+        return [("=", chosen, v) for v in values]
 
     @staticmethod
     def _apply(alt) -> None:

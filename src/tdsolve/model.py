@@ -20,7 +20,7 @@ from enum import Enum
 
 from . import propagators as props
 from .engine import IntVar, SetVar, Solver
-from .graphs import Graph, TreeDecomposition
+from .graphs import Graph, TreeDecomposition, oriented_at_zero
 
 
 class Variant(Enum):
@@ -130,3 +130,42 @@ def extract_decomposition(mi: ModelInstance, witness: dict) -> TreeDecomposition
     except KeyError as exc:
         raise RuntimeError(f"witness is missing a variable: {exc}") from None
     return TreeDecomposition(nodes=nodes, parent=parent, depth=depth)
+
+
+def encode_decomposition(mi: ModelInstance, td: TreeDecomposition) -> dict:
+    """The assignment of mi's variables that spells out td, with set
+    values as membership masks: the inverse of extract_decomposition.
+
+    A tree's nodes are sorted into the LexLeq order and the tree is
+    re-rooted at the first; a path, given in path order from node 0,
+    is reversed if LexLeq of its two ends needs it. Depths and location
+    bits follow from the result. Raises ValueError unless td has
+    exactly mi.m nodes.
+    """
+    if td.m != mi.m:
+        raise ValueError(f"a hint for {mi.m} nodes has {td.m}")
+    masks = [sum(1 << v for v in bag) for bag in td.nodes]
+
+    def lex_key(i: int) -> str:
+        """Membership vector, vertex 0 first."""
+        return format(masks[i], f"0{mi.g.n}b")[::-1]
+
+    if mi.variant is Variant.PATH:
+        if lex_key(0) > lex_key(len(masks) - 1):
+            masks.reverse()
+        parent = [max(i - 1, 0) for i in range(len(masks))]
+        depth = list(range(len(masks)))
+    else:
+        rank = sorted(range(len(masks)), key=lex_key)
+        new = {old: i for i, old in enumerate(rank)}
+        edges = [(new[p], new[i]) for p, i in td.tree_edges()]
+        tree = oriented_at_zero([td.nodes[old] for old in rank], edges)
+        masks = [masks[old] for old in rank]
+        parent, depth = tree.parent, tree.depth
+
+    values: dict = dict(zip(mi.node_sets, masks))
+    values.update(zip(mi.parents, parent))
+    values.update(zip(mi.depths, depth))
+    pairs = [1 << u | 1 << v for u, v in mi.g.edges]
+    values.update(zip(mi.locations, [int(m & uv == uv) for uv in pairs for m in masks]))
+    return values

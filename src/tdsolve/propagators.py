@@ -12,14 +12,14 @@ from .engine import Inconsistent, IntVar, Propagator, SetVar, bits_of
 
 
 class CardinalityAtMost(Propagator):
-    """|X| <= bound."""
+    """|X| <= bound. Reads only ``required``, so wakes only when it grows."""
 
     __slots__ = ("x", "bound")
 
     def __init__(self, x: SetVar, bound: int):
         if bound < 0:
             raise ValueError("cardinality bound must be nonnegative")
-        super().__init__([x])
+        super().__init__(required=[x])
         self.x = x
         self.bound = bound
 
@@ -36,12 +36,16 @@ class CardinalityAtMost(Propagator):
 
 
 class UnionEquals(Propagator):
-    """union(xs) == universe. Assumes every possible set is within it."""
+    """union(xs) == universe. Assumes every possible set is within it.
+
+    Wakes only when a ``possible`` shrinks: a ``required`` that grows
+    only covers more of the universe, which can enable no pruning.
+    """
 
     __slots__ = ("xs", "universe")
 
     def __init__(self, xs: list[SetVar], universe: int):
-        super().__init__(xs)
+        super().__init__(possible=xs)
         self.xs = list(xs)
         self.universe = universe
 

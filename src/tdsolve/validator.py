@@ -18,6 +18,7 @@ from .graphs import Graph, TreeDecomposition
 
 class ViolationKind(Enum):
     TREE_SHAPE = "TREE_SHAPE"
+    PATH_SHAPE = "PATH_SHAPE"
     COVERAGE = "COVERAGE"
     EDGE = "EDGE"
     CONNECTEDNESS = "CONNECTEDNESS"
@@ -41,6 +42,7 @@ def validate(
     td: TreeDecomposition,
     expect_m: int | None = None,
     expect_w: int | None = None,
+    expect_path: bool = False,
 ) -> list[Violation]:
     """Check a claimed decomposition of g; return all violations found.
 
@@ -48,8 +50,9 @@ def validate(
     root, consistent depths, every node reaches the root), vertex range,
     vertex coverage, edge coverage, and the running intersection
     property (for each vertex, the nodes containing it induce a
-    connected subtree). With ``expect_w``/``expect_m`` also checks the
-    width bound and node count. An empty list means the decomposition
+    connected subtree). With ``expect_path`` also checks that no node
+    has two children, and with ``expect_w``/``expect_m`` the width bound
+    and node count. An empty list means the decomposition
     is valid.
 
     Raises ValueError for structurally malformed input (mismatched
@@ -101,6 +104,15 @@ def validate(
                 out.append(
                     Violation(ViolationKind.TREE_SHAPE, f"node {i} does not reach the root")
                 )
+
+    if expect_path:
+        children = [0] * m
+        for i in range(1, m):
+            if 0 <= td.parent[i] < m and td.parent[i] != i:
+                children[td.parent[i]] += 1
+        for i, count in enumerate(children):
+            if count > 1:
+                out.append(Violation(ViolationKind.PATH_SHAPE, f"node {i} has {count} children"))
 
     # Property 1: every node is a subset of V.
     for i, bag in enumerate(td.nodes):

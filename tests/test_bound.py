@@ -1,5 +1,6 @@
 """Minor-min-width lower bound: its certificate checker, and agreement
-with the oracle and with the model's own UNSAT proofs."""
+with the oracle and with the model's own UNSAT proofs. Greedy upper
+bound: its m-node decompositions, checked by the validator."""
 
 from __future__ import annotations
 
@@ -14,12 +15,19 @@ from helpers import (
     random_graph,
     star_graph,
 )
-from tdsolve.driver import decide, minor_min_width, pathwidth, treewidth
+from tdsolve.driver import (
+    decide,
+    minor_min_width,
+    pathwidth,
+    smooth_decomposition,
+    treewidth,
+    upper_bound,
+)
 from tdsolve.engine import Status
 from tdsolve.graphs import Graph
 from tdsolve.model import Variant
-from tdsolve.oracle import brute_treewidth
-from tdsolve.validator import ViolationKind, check_minor_bound
+from tdsolve.oracle import brute_pathwidth, brute_treewidth
+from tdsolve.validator import ViolationKind, check_minor_bound, validate
 
 
 def kinds(violations):
@@ -69,6 +77,48 @@ def test_schedule_step_decided_by_bound():
         assert last.bound == minor
         report = last.report
         assert (report.decisions, report.propagations, report.fails) == (0, 0, 0)
+
+
+def test_upper_bound_gives_a_decomposition_of_every_node_count_it_covers():
+    # every labeled graph with n <= 5, and 40 G(6, 1/2) / G(7, 1/2) graphs
+    rng = random.Random(97)
+    graphs = [g for n in range(1, 6) for g in all_labeled_graphs(n)]
+    graphs += [random_graph(6 + i % 2, 0.5, rng) for i in range(40)]
+    checked = 0
+    for g in graphs:
+        for variant, brute in ((Variant.TREE, brute_treewidth), (Variant.PATH, brute_pathwidth)):
+            ub, order, bags = upper_bound(g, variant)
+            assert sorted(order) == list(range(g.n))
+            assert ub >= brute(g).width, (g.edges, variant)
+            for w in range(ub, g.n + 1):
+                td = smooth_decomposition(variant, order, bags, w)
+                violations = validate(
+                    g, td, expect_m=g.n + 1 - w, expect_w=w, expect_path=variant is Variant.PATH
+                )
+                assert violations == [], (g.edges, variant, w, violations)
+                checked += 1
+    assert checked > 5000
+
+
+def test_upper_bound_known_families_and_deadline():
+    assert upper_bound(path_graph(5), Variant.PATH)[0] == 2
+    assert upper_bound(cycle_graph(6), Variant.TREE)[0] == 3
+    assert upper_bound(complete_graph(4), Variant.TREE)[:2] == (4, [0, 1, 2, 3])
+    assert upper_bound(edgeless_graph(3), Variant.PATH)[0] == 1
+    assert upper_bound(star_graph(4), Variant.PATH)[1][0] == 1  # a minimum-degree start
+    for variant in Variant:
+        assert upper_bound(cycle_graph(6), variant, deadline=0.0) is None
+
+
+def test_schedule_dives_at_every_step_the_upper_bound_covers():
+    rng = random.Random(101)
+    for _ in range(20):
+        g = random_graph(rng.choice((5, 6, 7)), 0.5, rng)
+        for run, variant in ((treewidth, Variant.TREE), (pathwidth, Variant.PATH)):
+            ub = upper_bound(g, variant)[0]
+            for step in run(g).trace:
+                if step.w >= ub:
+                    assert (step.status, step.report.fails) == (Status.SAT, 0)
 
 
 def test_checker_rejects_a_disconnected_branch_set():

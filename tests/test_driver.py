@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 
@@ -22,6 +23,7 @@ from tdsolve.driver import (
     treewidth,
 )
 from tdsolve.engine import Status
+from tdsolve.graphs import Graph
 from tdsolve.model import Variant
 from tdsolve.oracle import brute_pathwidth, brute_treewidth
 from tdsolve.validator import validate
@@ -167,9 +169,25 @@ def test_decision_limit_gives_indeterminate():
     assert err.value.trace[-1] is err.value.step
 
 
-def test_rejects_empty_graph():
-    from tdsolve.graphs import Graph
+def test_timeout_caps_a_large_graph():
+    # 1,000 vertices, 5,000 edges: the schedule stops at the timeout of
+    # step (2, 999), and the upper bound's order is capped by the same
+    # budget, so the whole run takes well under two timeouts and a build.
+    rng = random.Random(7)
+    edges = set()
+    while len(edges) < 5000:
+        u, v = sorted(rng.sample(range(1000), 2))
+        edges.add((u, v))
+    g = Graph.from_edges(1000, edges)
+    for run in (treewidth, pathwidth):
+        start = time.perf_counter()
+        with pytest.raises(SearchLimitExceeded) as err:
+            run(g, timeout=0.5)
+        assert time.perf_counter() - start < 1.8
+        assert err.value.step.status is Status.INDETERMINATE
 
+
+def test_rejects_empty_graph():
     with pytest.raises(ValueError):
         treewidth(Graph.from_edges(0, []))
 

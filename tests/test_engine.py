@@ -223,3 +223,54 @@ def test_bad_domain_rejected():
         s.int_var(-1, 1)
     with pytest.raises(ValueError):
         s.set_var(-2)
+
+
+def _random_hint(s, rng):
+    """Preferred values for every variable, unrelated to any solution."""
+    hint = {var: rng.randint(0, 3) for var in s.int_vars}
+    hint.update({svar: rng.getrandbits(3) for svar in s.set_vars})
+    return hint
+
+
+def test_hint_reorders_values_only():
+    # an exhausted tree is the same whatever value comes first; a SAT
+    # answer is still a checked solution
+    unsat = sat = 0
+    for seed in range(300):
+        plain = _random_micro_model(random.Random(seed)).solve()
+        s = _random_micro_model(random.Random(seed))
+        hinted = s.solve(hint=_random_hint(s, random.Random(seed)))
+        assert hinted.status is plain.status
+        if plain.status is Status.UNSAT:
+            assert (hinted.decisions, hinted.fails) == (plain.decisions, plain.fails)
+            unsat += 1
+        else:
+            assert s.check_witness(hinted.witness)
+            sat += 1
+    assert unsat > 20 and sat > 100
+
+
+def test_hint_of_a_solution_is_followed_without_a_fail():
+    for seed in range(200):
+        s = _random_micro_model(random.Random(seed))
+        report = s.solve()
+        if report.status is not Status.SAT:
+            continue
+        solution = {
+            var: value if var in s.int_vars else sum(1 << e for e in value)
+            for var, value in report.witness.items()
+        }
+        again = _random_micro_model(random.Random(seed))
+        by_name = dict(zip(s.int_vars + s.set_vars, again.int_vars + again.set_vars))
+        hinted = again.solve(hint={by_name[var]: value for var, value in solution.items()})
+        assert hinted.status is Status.SAT and hinted.fails == 0
+        assert {var: hinted.witness[by_name[var]] for var in solution} == report.witness
+
+
+def test_hint_prefers_exclusion_of_a_set_element():
+    s = Solver()
+    x = s.set_var(3)
+    s.post(CardinalityAtMost(x, 2))
+    report = s.solve(hint={x: 0b010})
+    assert report.witness[x] == frozenset({1})
+    assert report.fails == 0

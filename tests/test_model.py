@@ -14,9 +14,10 @@ from helpers import (
     random_graph,
     snapshot,
 )
-from tdsolve.driver import _schedule_pairs, decide
-from tdsolve.engine import Status
-from tdsolve.model import Variant, build_model, extract_decomposition
+from tdsolve.driver import _schedule_pairs, decide, smooth_decomposition, upper_bound
+from tdsolve.engine import SetVar, Status, bits_of
+from tdsolve.graphs import TreeDecomposition
+from tdsolve.model import Variant, build_model, encode_decomposition, extract_decomposition
 from tdsolve.propagators import LexLeq
 from tdsolve.validator import validate
 
@@ -186,3 +187,78 @@ def test_lex_toggle_preserves_outcomes_sampled_n5():
             with_lex = decide(g, m, w, symmetry_breaking=True)
             without = decide(g, m, w, symmetry_breaking=False)
             assert with_lex.status == without.status, (g.edges, m, w)
+
+
+def _as_witness(values):
+    return {
+        var: frozenset(bits_of(v)) if isinstance(var, SetVar) else v for var, v in values.items()
+    }
+
+
+def test_encoding_inverts_extraction_and_dives_without_a_fail():
+    # every step with w >= ub: the encoded decomposition satisfies every
+    # posted constraint, so the hinted search follows it to the end
+    rng = random.Random(61)
+    graphs = [random_graph(rng.randint(2, 7), 0.5, rng) for _ in range(30)]
+    checked = 0
+    for g in graphs:
+        for variant in Variant:
+            ub, order, bags = upper_bound(g, variant)
+            for w in range(ub, g.n + 1):
+                m = g.n + 1 - w
+                mi = build_model(g, m, w, variant=variant)
+                values = encode_decomposition(mi, smooth_decomposition(variant, order, bags, w))
+                assert set(values) == set(mi.solver.int_vars) | set(mi.solver.set_vars)
+                witness = _as_witness(values)
+                assert mi.solver.check_witness(witness), (g.edges, variant, w)
+                td = extract_decomposition(mi, witness)
+                is_path = variant is Variant.PATH
+                assert validate(g, td, expect_m=m, expect_w=w, expect_path=is_path) == []
+                report = mi.solver.solve(decision_vars=mi.decision_vars, hint=values)
+                assert (report.status, report.fails) == (Status.SAT, 0)
+                assert report.witness == witness
+                checked += 1
+    assert checked > 100
+
+
+def test_encoding_orders_nodes_for_symmetry_breaking():
+    g = path_graph(4)
+    # a tree rooted at its lex-largest node, listed out of order
+    tree = TreeDecomposition.from_parents([{0, 1}, {2, 3}, {1, 2}], [0, 2, 0])
+    mi = build_model(g, 3, 2)
+    values = encode_decomposition(mi, tree)
+    assert [values[x] for x in mi.node_sets] == [0b1100, 0b0110, 0b0011]
+    assert [values[p] for p in mi.parents] == [0, 0, 1]
+    assert [values[d] for d in mi.depths] == [0, 1, 2]
+    # a path whose first node is lex-larger than its last is reversed
+    path = TreeDecomposition.from_parents([{0, 1}, {1, 2}, {2, 3}], [0, 0, 1])
+    mi = build_model(g, 3, 2, variant=Variant.PATH)
+    values = encode_decomposition(mi, path)
+    assert [values[x] for x in mi.node_sets] == [0b1100, 0b0110, 0b0011]
+    assert mi.solver.check_witness(_as_witness(values))
+    with pytest.raises(ValueError):
+        encode_decomposition(build_model(g, 2, 3), path)
+
+
+def test_hint_changes_no_answer_and_no_unsat_search():
+    rng = random.Random(67)
+    unsat = 0
+    for _ in range(12):
+        g = random_graph(rng.randint(4, 6), 0.5, rng)
+        for variant in Variant:
+            for m, w in _schedule_pairs(g.n)[1:]:
+                plain = decide(g, m, w, variant=variant)
+                # a wrong hint: every node holds the same two vertices
+                wrong = TreeDecomposition.from_parents([{0, 1}] * m, [0] + list(range(m - 1)))
+                hinted = decide(g, m, w, variant=variant, hint=wrong)
+                assert hinted.status is plain.status
+                if plain.status is Status.UNSAT:
+                    assert (hinted.report.decisions, hinted.report.fails) == (
+                        plain.report.decisions,
+                        plain.report.fails,
+                    )
+                    unsat += 1
+                    break
+                is_path = variant is Variant.PATH
+                assert validate(g, hinted.witness, m, w, expect_path=is_path) == []
+    assert unsat > 10

@@ -8,18 +8,19 @@ before RunningIntersection was merged per child node and before LexLeq
 ran on set bounds. An exact propagation change keeps every one of them;
 only the propagation count may move.
 
-Every pinned step is searched again through ``decide``, so the final
-UNSAT search stays pinned although the schedule now answers a step with
-w <= minor_min_width(g) by the bound: the schedule must match the same
-table except that such a step reads 0 decisions and 0 fails and carries
-the certificate.
+Every pinned step is searched again through unhinted ``decide``, so the
+whole search tree stays pinned although the schedule no longer searches
+every step the same way. The schedule must match the same table except
+that a step with w <= minor_min_width(g) reads 0 decisions and 0 fails
+and carries the certificate, and a step with w >= the greedy upper bound
+is solved by a hinted dive: SAT, with no fail.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from tdsolve.driver import decide, minor_min_width, pathwidth, treewidth
+from tdsolve.driver import decide, minor_min_width, pathwidth, treewidth, upper_bound
 from tdsolve.graphs import Graph
 from tdsolve.model import Variant
 
@@ -143,10 +144,17 @@ def test_search_tree_is_pinned(problem, index):
     assert searched == pinned
 
     lb, minor = minor_min_width(g)
+    ub = upper_bound(g, variant)[0]
     trace = (treewidth if problem == "treewidth" else pathwidth)(g).trace
-    expected = [
-        (m, w, status, 0, 0) if w <= lb else (m, w, status, decisions, fails)
-        for m, w, status, decisions, fails in pinned
-    ]
-    assert [_row(s, s.report.decisions, s.report.fails) for s in trace] == expected
+    assert len(trace) == len(pinned)
+    for step, (m, w, status, decisions, fails) in zip(trace, pinned):
+        if w <= lb:
+            assert _row(step, step.report.decisions, step.report.fails) == (m, w, status, 0, 0)
+        elif w >= ub:
+            assert (step.m, step.w, step.status.value, step.report.fails) == (m, w, "SAT", 0)
+            assert status == "SAT"
+        else:
+            assert _row(step, step.report.decisions, step.report.fails) == (
+                m, w, status, decisions, fails,
+            )
     assert [s.bound for s in trace] == [minor if s.w <= lb else None for s in trace]

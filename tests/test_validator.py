@@ -19,6 +19,17 @@ def test_valid_decomposition_passes():
     assert validate(g, td) == []
 
 
+def test_path_shape_check():
+    g = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
+    star = TreeDecomposition.from_parents([{0, 1}, {0, 2}, {0, 3}], [0, 0, 0])
+    assert validate(g, star) == []
+    violations = validate(g, star, expect_path=True)
+    assert kinds(violations) == {ViolationKind.PATH_SHAPE}
+    assert "node 0 has 2 children" in violations[0].detail
+    path = TreeDecomposition.from_parents([{0, 1}, {0, 2}, {0, 3}], [0, 0, 1])
+    assert validate(g, path, expect_m=3, expect_w=2, expect_path=True) == []
+
+
 def test_running_intersection_break_detected():
     # vertex 1 sits in nodes 0 and 2 but not in node 1 between them
     g = path_graph(3)
