@@ -4,7 +4,8 @@ A decision instance (graph, node count, width bound) is compiled into a
 constraint model over set and integer variables and solved by a small
 propagation engine; a lockstep schedule of such instances yields the
 exact treewidth or pathwidth together with a validated decomposition.
-Brute-force oracles and an independent validator certify the answers.
+An independent validator certifies the answers; the brute-force
+oracles of ``tdsolve.oracle`` cross-check them on small graphs.
 """
 
 from .driver import (
@@ -13,7 +14,6 @@ from .driver import (
     SearchLimitExceeded,
     WidthResult,
     decide,
-    max_nodes_bound,
     minor_min_width,
     pathwidth,
     treewidth,
@@ -22,13 +22,6 @@ from .engine import SolveReport, Solver, Status
 from .graphio import ParseError, export_dot, parse_edge_list, parse_gr, parse_td, write_td
 from .graphs import Graph, TreeDecomposition
 from .model import ModelInstance, Variant, build_model, extract_decomposition
-from .oracle import (
-    OracleResult,
-    brute_pathwidth,
-    brute_treewidth,
-    decomposition_from_order,
-    elimination_width,
-)
 from .validator import Violation, ViolationKind, check_minor_bound, validate
 
 __all__ = [
@@ -58,11 +51,5 @@ __all__ = [
     "decide",
     "treewidth",
     "pathwidth",
-    "max_nodes_bound",
     "minor_min_width",
-    "OracleResult",
-    "elimination_width",
-    "decomposition_from_order",
-    "brute_treewidth",
-    "brute_pathwidth",
 ]

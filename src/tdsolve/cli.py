@@ -9,6 +9,7 @@ width commands is byte-stable across runs; timing only appears under
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -16,7 +17,6 @@ from .driver import ScheduleInterrupted, SearchLimitExceeded, decide, pathwidth,
 from .engine import Status
 from .graphio import ParseError, export_dot, parse_edge_list, parse_gr, parse_td, write_td
 from .model import Variant
-from .oracle import brute_pathwidth, brute_treewidth
 from .validator import validate
 
 EXIT_OK = 0
@@ -69,11 +69,20 @@ def _write_outputs(args, g, td) -> None:
         Path(args.dot_output).write_text(export_dot(g, td))
 
 
+def _check_limits(args) -> None:
+    # a NaN timeout would fail every comparison and so never expire
+    if args.timeout is not None and not (math.isfinite(args.timeout) and args.timeout >= 0):
+        raise ValueError(f"--timeout must be a finite number >= 0, got {args.timeout}")
+    if args.decision_limit is not None and args.decision_limit < 0:
+        raise ValueError(f"--decision-limit must be at least 0, got {args.decision_limit}")
+
+
 def _cmd_decide(args) -> int:
     if args.m < 1:
         raise ValueError(f"--m must be at least 1, got {args.m}")
     if args.w < 1:
         raise ValueError(f"--w must be at least 1, got {args.w}")
+    _check_limits(args)
     g = _load_graph(args.graph, args.format)
     variant = Variant.PATH if args.path else Variant.TREE
     step = decide(
@@ -97,6 +106,7 @@ def _cmd_decide(args) -> int:
 
 
 def _cmd_width(args, runner, label: str) -> int:
+    _check_limits(args)
     g = _load_graph(args.graph, args.format)
     try:
         result = runner(
@@ -131,6 +141,8 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    from .oracle import brute_pathwidth, brute_treewidth
+
     g = _load_graph(args.graph, args.format)
     kwargs = {} if args.limit is None else {"limit": args.limit}
     if args.pathwidth:

@@ -303,19 +303,16 @@ def smooth_decomposition(
     n, cut = len(order), len(order) - w
     if variant is Variant.PATH:
         nodes = [order[:w]] + [bits_of(b) for b in bags[w:]]
-        return TreeDecomposition(
-            tuple(map(frozenset, nodes)), (0, *range(cut)), tuple(range(cut + 1))
-        )
+        return TreeDecomposition(tuple(map(frozenset, nodes)), (0, *range(cut)))
     position = {v: i for i, v in enumerate(order)}
     # node i + 1 holds bag i; every bag hangs from a later one or the root
-    parent, depth = [0] * (cut + 1), [0] * (cut + 1)
-    for i in reversed(range(cut)):
+    parent = [0] * (cut + 1)
+    for i in range(cut):
         first = min((position[u] for u in bits_of(bags[i]) if u != order[i]), default=n)
         if first < cut:
             parent[i + 1] = first + 1
-        depth[i + 1] = depth[parent[i + 1]] + 1
     nodes = [order[cut:]] + [bits_of(b) for b in bags[:cut]]
-    return TreeDecomposition(tuple(map(frozenset, nodes)), tuple(parent), tuple(depth))
+    return TreeDecomposition(tuple(map(frozenset, nodes)), tuple(parent))
 
 
 def _schedule_pairs(n: int) -> list[tuple[int, int]]:
@@ -400,11 +397,3 @@ def pathwidth(
 ) -> WidthResult:
     """Minimum path-decomposition width of g, with a validated witness."""
     return _run_schedule(g, Variant.PATH, symmetry_breaking, decision_limit, timeout)
-
-
-def max_nodes_bound(n: int, w: int) -> int:
-    """Largest node count of a duplicate-free decomposition of width w
-    on n vertices: n - w + 1."""
-    if not 1 <= w <= n:
-        raise ValueError(f"width {w} out of range 1..{n}")
-    return n - w + 1

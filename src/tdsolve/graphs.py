@@ -54,16 +54,14 @@ class Graph:
 class TreeDecomposition:
     """Rooted tree of vertex sets, in parent-pointer form.
 
-    Node 0 is the root: ``parent[0] == 0`` and ``depth[0] == 0``. For a
-    well-formed decomposition every other node's parent pointer leads to
-    the root with ``depth[i] == depth[parent[i]] + 1``. The constructor
-    does not enforce this (the validator module checks it); use
-    :meth:`from_parents` to build a shape-checked instance.
+    Node 0 is the root, ``parent[0] == 0``, and for a well-formed
+    decomposition every other node's parent pointer leads to the root.
+    The constructor does not enforce this (the validator module checks
+    it); use :meth:`from_parents` to build a shape-checked instance.
     """
 
     nodes: tuple[frozenset[int], ...]
     parent: tuple[int, ...]
-    depth: tuple[int, ...]
 
     @property
     def m(self) -> int:
@@ -83,7 +81,7 @@ class TreeDecomposition:
     def from_parents(
         cls, nodes: Iterable[Iterable[int]], parent: Iterable[int]
     ) -> "TreeDecomposition":
-        """Build from node contents and parent pointers, computing depths.
+        """Build from node contents and parent pointers.
 
         Raises ValueError if the parent array is not a tree rooted at
         node 0.
@@ -97,7 +95,6 @@ class TreeDecomposition:
             raise ValueError(f"{m} nodes but {len(parents)} parent pointers")
         if parents[0] != 0:
             raise ValueError("node 0 must be the root (parent[0] == 0)")
-        depth = [0] * m
         for i in range(1, m):
             hops = 0
             j = i
@@ -109,8 +106,7 @@ class TreeDecomposition:
                 hops += 1
                 if hops > m:
                     raise ValueError(f"parent pointers cycle at node {i}")
-            depth[i] = hops
-        return cls(nodes=node_sets, parent=parents, depth=tuple(depth))
+        return cls(nodes=node_sets, parent=parents)
 
 
 def oriented_at_zero(
@@ -139,7 +135,6 @@ def oriented_at_zero(
         raise ValueError(f"{m} nodes need {m - 1} tree edges, got {count}")
 
     parent = [0] * m
-    depth = [0] * m
     seen = {0}
     queue = deque([0])
     while queue:
@@ -148,8 +143,7 @@ def oriented_at_zero(
             if b not in seen:
                 seen.add(b)
                 parent[b] = a
-                depth[b] = depth[a] + 1
                 queue.append(b)
     if len(seen) != m:
         raise ValueError("tree edges do not connect all nodes")
-    return TreeDecomposition(tuple(node_sets), tuple(parent), tuple(depth))
+    return TreeDecomposition(tuple(node_sets), tuple(parent))

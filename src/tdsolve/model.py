@@ -126,21 +126,21 @@ def extract_decomposition(mi: ModelInstance, witness: dict) -> TreeDecomposition
     try:
         nodes = tuple(witness[x] for x in mi.node_sets)
         parent = tuple(witness[p] for p in mi.parents)
-        depth = tuple(witness[d] for d in mi.depths)
     except KeyError as exc:
         raise RuntimeError(f"witness is missing a variable: {exc}") from None
-    return TreeDecomposition(nodes=nodes, parent=parent, depth=depth)
+    return TreeDecomposition(nodes=nodes, parent=parent)
 
 
 def encode_decomposition(mi: ModelInstance, td: TreeDecomposition) -> dict:
-    """The assignment of mi's variables that spells out td, with set
-    values as membership masks: the inverse of extract_decomposition.
+    """The assignment of mi's node sets, parents and location bits that
+    spells out td, with set values as membership masks: the inverse of
+    extract_decomposition. The depths are left out; once the parents are
+    fixed, propagation fixes them.
 
     A tree's nodes are sorted into the LexLeq order and the tree is
     re-rooted at the first; a path, given in path order from node 0,
-    is reversed if LexLeq of its two ends needs it. Depths and location
-    bits follow from the result. Raises ValueError unless td has
-    exactly mi.m nodes.
+    is reversed if LexLeq of its two ends needs it. Location bits follow
+    from the result. Raises ValueError unless td has exactly mi.m nodes.
     """
     if td.m != mi.m:
         raise ValueError(f"a hint for {mi.m} nodes has {td.m}")
@@ -154,18 +154,15 @@ def encode_decomposition(mi: ModelInstance, td: TreeDecomposition) -> dict:
         if lex_key(0) > lex_key(len(masks) - 1):
             masks.reverse()
         parent = [max(i - 1, 0) for i in range(len(masks))]
-        depth = list(range(len(masks)))
     else:
         rank = sorted(range(len(masks)), key=lex_key)
         new = {old: i for i, old in enumerate(rank)}
         edges = [(new[p], new[i]) for p, i in td.tree_edges()]
-        tree = oriented_at_zero([td.nodes[old] for old in rank], edges)
+        parent = oriented_at_zero([td.nodes[old] for old in rank], edges).parent
         masks = [masks[old] for old in rank]
-        parent, depth = tree.parent, tree.depth
 
     values: dict = dict(zip(mi.node_sets, masks))
     values.update(zip(mi.parents, parent))
-    values.update(zip(mi.depths, depth))
     pairs = [1 << u | 1 << v for u, v in mi.g.edges]
     values.update(zip(mi.locations, [int(m & uv == uv) for uv in pairs for m in masks]))
     return values

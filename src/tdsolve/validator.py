@@ -46,14 +46,13 @@ def validate(
 ) -> list[Violation]:
     """Check a claimed decomposition of g; return all violations found.
 
-    Checks, in order: tree shape (root at 0, no self-parents beyond the
-    root, consistent depths, every node reaches the root), vertex range,
-    vertex coverage, edge coverage, and the running intersection
+    Checks, in order: tree shape (root at 0, parents in range, no
+    self-parents beyond the root, every node reaches the root), vertex
+    range, vertex coverage, edge coverage, and the running intersection
     property (for each vertex, the nodes containing it induce a
     connected subtree). With ``expect_path`` also checks that no node
     has two children, and with ``expect_w``/``expect_m`` the width bound
-    and node count. An empty list means the decomposition
-    is valid.
+    and node count. An empty list means the decomposition is valid.
 
     Raises ValueError for structurally malformed input (mismatched
     array lengths or zero nodes); that is an ill-formed claim, not a
@@ -62,19 +61,15 @@ def validate(
     m = len(td.nodes)
     if m == 0:
         raise ValueError("decomposition has no nodes")
-    if len(td.parent) != m or len(td.depth) != m:
-        raise ValueError(
-            f"length mismatch: {m} nodes, {len(td.parent)} parents, {len(td.depth)} depths"
-        )
+    if len(td.parent) != m:
+        raise ValueError(f"length mismatch: {m} nodes, {len(td.parent)} parents")
 
     out: list[Violation] = []
 
-    # Tree shape: parent pointers and depths.
+    # Tree shape: parent pointers.
     parents_in_range = True
     if td.parent[0] != 0:
         out.append(Violation(ViolationKind.TREE_SHAPE, f"parent[0] is {td.parent[0]}, expected 0"))
-    if td.depth[0] != 0:
-        out.append(Violation(ViolationKind.TREE_SHAPE, f"depth[0] is {td.depth[0]}, expected 0"))
     for i in range(1, m):
         p = td.parent[i]
         if not (0 <= p < m):
@@ -83,14 +78,6 @@ def validate(
             continue
         if p == i:
             out.append(Violation(ViolationKind.TREE_SHAPE, f"node {i} is its own parent"))
-            continue
-        if td.depth[i] != td.depth[p] + 1:
-            out.append(
-                Violation(
-                    ViolationKind.TREE_SHAPE,
-                    f"depth[{i}] = {td.depth[i]} but parent {p} has depth {td.depth[p]}",
-                )
-            )
     if parents_in_range:
         for i in range(1, m):
             if td.parent[i] == i:

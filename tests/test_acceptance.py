@@ -27,7 +27,7 @@ from helpers import (
     snapshot,
     solutions_within,
 )
-from tdsolve.driver import _schedule_pairs, decide, max_nodes_bound, pathwidth, treewidth
+from tdsolve.driver import _schedule_pairs, decide, pathwidth, treewidth
 from tdsolve.engine import Status
 from tdsolve.graphio import parse_td, write_td
 from tdsolve.graphs import Graph, TreeDecomposition
@@ -44,7 +44,7 @@ def _record(g: Graph, result) -> None:
             td = step.witness
             assert validate(g, td) == [], "a solver witness failed validation"
             if len(set(td.nodes)) == td.m:  # criterion 6, checked as produced
-                assert td.m <= max_nodes_bound(g.n, td.width)
+                assert td.m <= g.n - td.width + 1
             WITNESSES.append((g, td))
 
 
@@ -160,7 +160,7 @@ def test_criterion_6_node_bound_proposition():
     checked = 0
     for g, td in corpus:
         if len(set(td.nodes)) == td.m:
-            assert td.m <= max_nodes_bound(g.n, td.width), (g.edges, td)
+            assert td.m <= g.n - td.width + 1, (g.edges, td)
             checked += 1
     assert checked >= 30
     print(f"criterion 6 PASS: node-count bound holds on {checked} duplicate-free witnesses")
@@ -186,11 +186,11 @@ def _tree_path(td: TreeDecomposition, i: int, k: int) -> list[int]:
 
 def _independently_valid(g: Graph, td: TreeDecomposition) -> bool:
     m = td.m
-    if td.parent[0] != 0 or td.depth[0] != 0:
+    if td.parent[0] != 0:
         return False
     for i in range(1, m):
         p = td.parent[i]
-        if not (0 <= p < m) or p == i or td.depth[i] != td.depth[p] + 1:
+        if not (0 <= p < m) or p == i:
             return False
     for i in range(m):
         j, hops = i, 0
@@ -234,7 +234,7 @@ def _drop_vertex_mutants(td):
         for v in sorted(td.nodes[i]):
             nodes = list(td.nodes)
             nodes[i] = nodes[i] - {v}
-            yield TreeDecomposition(tuple(nodes), td.parent, td.depth)
+            yield TreeDecomposition(tuple(nodes), td.parent)
 
 
 def _reparent_mutants(td):

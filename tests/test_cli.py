@@ -195,6 +195,26 @@ def test_usage_error_exit_code(k3):
     assert err.value.code == 1
 
 
+@pytest.mark.parametrize("command", ["treewidth", "pathwidth", "decide"])
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--timeout", "nan"),
+        ("--timeout", "inf"),
+        ("--timeout", "-1"),
+        ("--decision-limit", "-3"),
+    ],
+)
+def test_bad_search_limits_are_usage_errors(command, flag, value, k3, capsys):
+    argv = [command, k3, flag, value]
+    if command == "decide":
+        argv += ["--m", "2", "--w", "2"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {flag} must be")
+
+
 def test_timeout_indeterminate_on_width_command(tmp_path, capsys):
     g = tmp_path / "g.gr"
     g.write_text("p tw 6 9\n1 2\n2 3\n3 4\n4 5\n5 6\n6 1\n1 4\n2 5\n3 6\n")

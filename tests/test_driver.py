@@ -18,7 +18,6 @@ from helpers import (
 from tdsolve.driver import (
     SearchLimitExceeded,
     decide,
-    max_nodes_bound,
     pathwidth,
     treewidth,
 )
@@ -145,17 +144,7 @@ def test_duplicate_free_witnesses_respect_node_bound():
                 continue
             td = step.witness
             if len(set(td.nodes)) == td.m:
-                assert td.m <= max_nodes_bound(g.n, td.width)
-
-
-def test_max_nodes_bound():
-    assert max_nodes_bound(8, 3) == 6
-    assert max_nodes_bound(8, 4) == 5
-    assert max_nodes_bound(5, 5) == 1
-    with pytest.raises(ValueError):
-        max_nodes_bound(4, 0)
-    with pytest.raises(ValueError):
-        max_nodes_bound(4, 5)
+                assert td.m <= g.n - td.width + 1
 
 
 def test_decision_limit_gives_indeterminate():

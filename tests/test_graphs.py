@@ -32,9 +32,11 @@ def test_adjacency_is_symmetric():
             assert u in g.adjacency[v]
 
 
-def test_from_parents_computes_depths():
+def test_from_parents_keeps_nodes_and_parents():
     td = TreeDecomposition.from_parents([{0, 1}, {1, 2}, {2, 3}], [0, 0, 1])
-    assert td.depth == (0, 1, 2)
+    assert td == TreeDecomposition(
+        nodes=(frozenset({0, 1}), frozenset({1, 2}), frozenset({2, 3})), parent=(0, 0, 1)
+    )
     assert td.width == 2
     assert td.m == 3
     assert td.tree_edges() == [(0, 1), (1, 2)]

@@ -82,7 +82,6 @@ def test_extract_k3_single_node():
     td = extract_decomposition(mi, report.witness)
     assert td.nodes == (frozenset({0, 1, 2}),)
     assert td.parent == (0,)
-    assert td.depth == (0,)
     assert td.width == 3
 
 
@@ -102,15 +101,35 @@ def test_extract_missing_variable_is_internal_error():
         extract_decomposition(mi, {})
 
 
+def _model_depths(step):
+    """The values of a SAT step's depth variables, by node index."""
+    by_name = {var.name: value for var, value in step.report.witness.items()}
+    return [by_name[f"depth{i}"] for i in range(step.m)]
+
+
+def _hops_to_root(parent, i):
+    hops = 0
+    while i != 0:
+        i = parent[i]
+        hops += 1
+    return hops
+
+
 def test_every_witness_validates():
     rng = random.Random(5)
+    deepest = 0
     for _ in range(20):
         g = random_graph(rng.randint(2, 5), 0.5, rng)
-        pairs = _schedule_pairs(g.n)
-        m, w = pairs[rng.randrange(len(pairs))]
-        step = decide(g, m, w)
-        if step.status is Status.SAT:
+        for m, w in _schedule_pairs(g.n):
+            step = decide(g, m, w)
+            if step.status is not Status.SAT:
+                break
             assert validate(g, step.witness, expect_m=m, expect_w=w) == []
+            # the model's depths are the hop counts of the extracted tree
+            depths = [_hops_to_root(step.witness.parent, i) for i in range(m)]
+            assert _model_depths(step) == depths
+            deepest = max(deepest, *depths)
+    assert deepest >= 3
 
 
 def test_witness_passes_straight_line_constraint_audit():
@@ -128,7 +147,7 @@ def test_path_variant_parent_chain():
     step = decide(g, 3, 2, variant=Variant.PATH)
     assert step.status is Status.SAT
     assert step.witness.parent == (0, 0, 1)
-    assert step.witness.depth == (0, 1, 2)
+    assert _model_depths(step) == [0, 1, 2]
 
 
 def _assert_at_fixpoint(solver):
@@ -208,15 +227,16 @@ def test_encoding_inverts_extraction_and_dives_without_a_fail():
                 m = g.n + 1 - w
                 mi = build_model(g, m, w, variant=variant)
                 values = encode_decomposition(mi, smooth_decomposition(variant, order, bags, w))
-                assert set(values) == set(mi.solver.int_vars) | set(mi.solver.set_vars)
-                witness = _as_witness(values)
-                assert mi.solver.check_witness(witness), (g.edges, variant, w)
-                td = extract_decomposition(mi, witness)
+                every_var = set(mi.solver.int_vars) | set(mi.solver.set_vars)
+                assert set(values) == every_var - set(mi.depths)
+                hinted = _as_witness(values)
+                td = extract_decomposition(mi, hinted)
                 is_path = variant is Variant.PATH
                 assert validate(g, td, expect_m=m, expect_w=w, expect_path=is_path) == []
                 report = mi.solver.solve(decision_vars=mi.decision_vars, hint=values)
                 assert (report.status, report.fails) == (Status.SAT, 0)
-                assert report.witness == witness
+                assert {var: report.witness[var] for var in hinted} == hinted
+                assert mi.solver.check_witness(report.witness), (g.edges, variant, w)
                 checked += 1
     assert checked > 100
 
@@ -229,13 +249,13 @@ def test_encoding_orders_nodes_for_symmetry_breaking():
     values = encode_decomposition(mi, tree)
     assert [values[x] for x in mi.node_sets] == [0b1100, 0b0110, 0b0011]
     assert [values[p] for p in mi.parents] == [0, 0, 1]
-    assert [values[d] for d in mi.depths] == [0, 1, 2]
+    assert not set(mi.depths) & set(values)
     # a path whose first node is lex-larger than its last is reversed
     path = TreeDecomposition.from_parents([{0, 1}, {1, 2}, {2, 3}], [0, 0, 1])
     mi = build_model(g, 3, 2, variant=Variant.PATH)
     values = encode_decomposition(mi, path)
     assert [values[x] for x in mi.node_sets] == [0b1100, 0b0110, 0b0011]
-    assert mi.solver.check_witness(_as_witness(values))
+    assert mi.solver.check_witness(_as_witness(values) | dict(zip(mi.depths, range(3))))
     with pytest.raises(ValueError):
         encode_decomposition(build_model(g, 2, 3), path)
 

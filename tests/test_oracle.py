@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +18,7 @@ from helpers import (
     random_graph,
     star_graph,
 )
+import tdsolve
 from tdsolve.graphs import Graph
 from tdsolve.oracle import (
     brute_pathwidth,
@@ -108,3 +113,14 @@ def test_size_limits_enforced():
     with pytest.raises(ValueError):
         brute_pathwidth(edgeless_graph(9))
     assert brute_treewidth(edgeless_graph(10), limit=10).width == 1
+
+
+def test_package_import_leaves_the_oracle_out():
+    # No schedule uses the oracle, so `import tdsolve` must not load it.
+    src = Path(tdsolve.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    code = "import sys, tdsolve; print('tdsolve.oracle' in sys.modules)"
+    run = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert run.stdout == "False\n"

@@ -14,13 +14,20 @@ every step the same way. The schedule must match the same table except
 that a step with w <= minor_min_width(g) reads 0 decisions and 0 fails
 and carries the certificate, and a step with w >= the greedy upper bound
 is solved by a hinted dive: SAT, with no fail.
+
+The witnesses are pinned too: the sha256 of the ``.td`` text that
+``write_td`` gives for each schedule's witness. A change that only
+simplifies the code must leave every one of them as it is.
 """
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from tdsolve.driver import decide, minor_min_width, pathwidth, treewidth, upper_bound
+from tdsolve.graphio import write_td
 from tdsolve.graphs import Graph
 from tdsolve.model import Variant
 
@@ -158,3 +165,43 @@ def test_search_tree_is_pinned(problem, index):
                 m, w, status, decisions, fails,
             )
     assert [s.bound for s in trace] == [minor if s.w <= lb else None for s in trace]
+
+
+# sha256 of write_td(witness, g) per PINNED graph: (treewidth, pathwidth)
+PINNED_TD_SHA256 = [
+    ('4fe8be53129aac12547574222fba4ad49088f62bded52b3239cb04797b3f91ce',
+     'ae84f248dd2cf033522c853850fe104c76faf96dce8c8c8976299f63c6a0555f'),
+    ('5cdb60e47b3f5ba35843524960ecc102aeefedc4990cb04b76af45fd8ea21fcd',
+     '1f2a0d5b7f4e9e92f9dbe407740b599f978ee6cba5bbd0ca08dc03eb3ef45709'),
+    ('0c2af9f114d4c077ac4ffc25cc1db278bdf51892df294d59b17e308a295006ac',
+     'd9724bbb0230a6fd15fa9f1c6c0f0309271844a242a62aabbc20e64e33c99366'),
+    ('d8b4ee604bbc49fa0358d00320211b191e744d7fc7bd6ec4824e424cde1dcf8c',
+     '20810482f9864012ccc6fcbfd586d8c2df1b3f159c6b83af1e735e127769b0cd'),
+    ('a9281feb3a14e664175847885bb252db7c6b778dcc317e825315f1e983f219a2',
+     '1f7f0298ffab26bd8cda21ecc67d7bb9f419c193498be93f56bdce2780ffca4f'),
+    ('4a93c5f7b97d523d38a6919063e1a9ce92fdfce1c88d63d7e111d53e5938bf18',
+     'c216724fbbe5958aef697bcdc386967e9e371da4457173ca9d2817a9ab430a03'),
+    ('016e81212ec56412f56cd95223249964f2faefc3f7a17a77c01e4c5b3f766dea',
+     '56a4a557f643800636274587402b9075b0d0a25bcd085e9aa252b99fa2ad19c0'),
+    ('82dd449cf6d8bf2d75a4911c6360643859a416269adbfb2eab972ef8d42d2a1c',
+     'eeb38bc52f614bf2dd050a12c9063da55d5d6233472b80aaad453d8f3078efe6'),
+    ('dc69c63f9f07c82ed000a4fa3d6d41dac8ea4a0d3b49089713030b43e2a5b739',
+     'e721e69795d7057b0643fa31f330e025c39988c9c12164dd744f2a4b9b42e93e'),
+    ('4d0cb30ec42e8d08bac97d36d944d1db604bd63e68a85bfab4bace2ae175715c',
+     'b185e29afe30054e1bc14a278ff8e3af723784d7ac911b008e905e55e714adfb'),
+    ('5861afb470668079b192b055494e7ffb7e2bcc8ecaf6c0683e6f17d4136e92d5',
+     'e0f8eefd4962415a76574ad0bddd42573f934ce9111eaf66af907ae38873105a'),
+    ('9ee68472290bd929e2d67a251d8de6952a1fef7b8c26da9c1d4ec0dfcd7ccdd3',
+     'e3cb07f11769f60680a646b7b88dce3bbf38d3b603c77a276b1a9d5c48843154'),
+]
+
+
+@pytest.mark.parametrize("index", range(len(PINNED)))
+def test_written_witnesses_are_pinned(index):
+    n, edges, _, _ = PINNED[index]
+    g = Graph.from_edges(n, edges)
+    digests = tuple(
+        hashlib.sha256(write_td(schedule(g).witness, g).encode()).hexdigest()
+        for schedule in (treewidth, pathwidth)
+    )
+    assert digests == PINNED_TD_SHA256[index]

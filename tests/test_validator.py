@@ -50,7 +50,7 @@ def test_missing_vertex_and_edges_detected():
 
 def test_all_violations_reported_not_just_first():
     g = complete_graph(3)
-    td = TreeDecomposition(nodes=(frozenset({0}),), parent=(1,), depth=(5,))
+    td = TreeDecomposition(nodes=(frozenset({0}),), parent=(1,))
     violations = validate(g, td)
     assert ViolationKind.TREE_SHAPE in kinds(violations)
     assert ViolationKind.COVERAGE in kinds(violations)
@@ -60,12 +60,16 @@ def test_all_violations_reported_not_just_first():
 def test_tree_shape_problems():
     nodes = (frozenset({0}), frozenset({0}), frozenset({0}))
     g = Graph.from_edges(1, [])
-    self_parent = TreeDecomposition(nodes, (0, 1, 0), (0, 0, 1))
-    assert ViolationKind.TREE_SHAPE in kinds(validate(g, self_parent))
-    cycle = TreeDecomposition(nodes, (0, 2, 1), (0, 1, 1))
-    assert any("reach the root" in v.detail for v in validate(g, cycle))
-    bad_depth = TreeDecomposition(nodes, (0, 0, 1), (0, 1, 5))
-    assert any("depth" in v.detail for v in validate(g, bad_depth))
+    for parent, detail in [
+        ((1, 0, 0), "parent[0] is 1, expected 0"),
+        ((0, 3, 0), "parent[1] = 3 out of range"),
+        ((0, -1, 0), "parent[1] = -1 out of range"),
+        ((0, 1, 0), "node 1 is its own parent"),
+        ((0, 2, 1), "node 1 does not reach the root"),
+    ]:
+        violations = validate(g, TreeDecomposition(nodes, parent))
+        assert ViolationKind.TREE_SHAPE in kinds(violations), parent
+        assert detail in [v.detail for v in violations], parent
 
 
 def test_vertex_out_of_range_is_coverage():
@@ -92,9 +96,9 @@ def test_empty_and_duplicate_nodes_are_legal():
 def test_malformed_input_is_an_error_not_a_violation():
     g = path_graph(2)
     with pytest.raises(ValueError):
-        validate(g, TreeDecomposition(nodes=(frozenset({0, 1}),), parent=(0, 0), depth=(0,)))
+        validate(g, TreeDecomposition(nodes=(frozenset({0, 1}),), parent=(0, 0)))
     with pytest.raises(ValueError):
-        validate(g, TreeDecomposition(nodes=(), parent=(), depth=()))
+        validate(g, TreeDecomposition(nodes=(), parent=()))
 
 
 def test_validate_is_deterministic():
