@@ -90,7 +90,6 @@ def _cmd_decide(args) -> int:
         args.m,
         args.w,
         variant=variant,
-        symmetry_breaking=not args.no_symmetry_breaking,
         decision_limit=args.decision_limit,
         timeout=args.timeout,
     )
@@ -111,7 +110,6 @@ def _cmd_width(args, runner, label: str) -> int:
     try:
         result = runner(
             g,
-            symmetry_breaking=not args.no_symmetry_breaking,
             decision_limit=args.decision_limit,
             timeout=args.timeout,
         )
@@ -178,7 +176,6 @@ def _add_graph_arg(sub) -> None:
 
 
 def _add_solver_flags(sub) -> None:
-    sub.add_argument("--no-symmetry-breaking", action="store_true")
     sub.add_argument("--decision-limit", type=int, default=None, metavar="N")
     sub.add_argument("--timeout", type=float, default=None, metavar="SECONDS")
     sub.add_argument("--stats", action="store_true", help="print per-step search statistics")

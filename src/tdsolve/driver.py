@@ -322,7 +322,6 @@ def _schedule_pairs(n: int) -> list[tuple[int, int]]:
 def _run_schedule(
     g: Graph,
     variant: Variant,
-    symmetry_breaking: bool,
     decision_limit: int | None,
     timeout: float | None,
 ) -> WidthResult:
@@ -339,7 +338,7 @@ def _run_schedule(
                 + "; ".join(str(v) for v in violations)
             )
         bound_s = time.perf_counter() - start
-        # A timeout also caps the order; without one the steps run unhinted.
+        # A timeout also caps the order: past it, the steps run unhinted.
         deadline = None if timeout is None else time.perf_counter() + timeout
         upper = upper_bound(g, variant, deadline)
         for m, w in _schedule_pairs(g.n):
@@ -355,7 +354,6 @@ def _run_schedule(
                 m,
                 w,
                 variant=variant,
-                symmetry_breaking=symmetry_breaking,
                 decision_limit=decision_limit,
                 timeout=timeout,
                 hint=hint,
@@ -381,19 +379,17 @@ def _run_schedule(
 
 def treewidth(
     g: Graph,
-    symmetry_breaking: bool = True,
     decision_limit: int | None = None,
     timeout: float | None = None,
 ) -> WidthResult:
     """Minimum decomposition width of g, with a validated witness."""
-    return _run_schedule(g, Variant.TREE, symmetry_breaking, decision_limit, timeout)
+    return _run_schedule(g, Variant.TREE, decision_limit, timeout)
 
 
 def pathwidth(
     g: Graph,
-    symmetry_breaking: bool = True,
     decision_limit: int | None = None,
     timeout: float | None = None,
 ) -> WidthResult:
     """Minimum path-decomposition width of g, with a validated witness."""
-    return _run_schedule(g, Variant.PATH, symmetry_breaking, decision_limit, timeout)
+    return _run_schedule(g, Variant.PATH, decision_limit, timeout)

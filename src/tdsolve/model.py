@@ -7,10 +7,12 @@ node) pair. The unary facts are part of the initial domains: node 0 is
 the root at depth 0, no node is its own parent, and on a path node i
 hangs from node i - 1. One running-intersection propagator per child
 node covers every other node, reading the vertices two nodes share
-straight from their set variables. Symmetry breaking orders node sets
-lexicographically on their membership vectors, vertex 0 first: every
-consecutive pair for free-form trees, first against last for
-path-shaped instances (whose only node symmetry is reversal).
+straight from their set variables. It also keeps the child one level
+below its parent, so that the depths it guards on are those of the
+rooted tree. Symmetry breaking orders node sets lexicographically on
+their membership vectors, vertex 0 first: every consecutive pair for
+free-form trees, first against last for path-shaped instances (whose
+only node symmetry is reversal).
 """
 
 from __future__ import annotations
@@ -78,9 +80,6 @@ def build_model(
     for x in node_sets:
         solver.post(props.CardinalityAtMost(x, w))
     solver.post(props.UnionEquals(node_sets, (1 << g.n) - 1))
-
-    for i in range(1, m):
-        solver.post(props.ParentDepth(i, parents[i], depths))
 
     locations: list[IntVar] = []
     for u, v in g.edges:

@@ -3,7 +3,8 @@
 Each class filters one constraint at subset-bound / domain level and
 carries a ``satisfied`` method that evaluates the constraint directly on
 a full assignment (used to audit witnesses without going through the
-filtering code).
+filtering code). ``RunningIntersection`` also keeps each child one
+level below its parent: the depth variables serve only its guard.
 """
 
 from __future__ import annotations
@@ -140,43 +141,11 @@ class AtLeastOne(Propagator):
         return any(value_of(b) == 1 for b in self.bits)
 
 
-class ParentDepth(Propagator):
-    """parent == j implies depth[i] == depth[j] + 1, for every j != i."""
-
-    __slots__ = ("i", "parent", "depths")
-
-    def __init__(self, i: int, parent: IntVar, depths: list[IntVar]):
-        super().__init__([parent] + list(depths))
-        self.i = i
-        self.parent = parent
-        self.depths = list(depths)
-
-    def propagate(self) -> None:
-        parent = self.parent
-        depth_i = self.depths[self.i]
-        for j in bits_of(parent.mask):
-            if j == self.i:
-                continue
-            if (self.depths[j].mask << 1) & depth_i.mask == 0:
-                parent.remove(j)
-        if parent.is_fixed():
-            j = parent.value()
-            if j != self.i:
-                depth_j = self.depths[j]
-                depth_i.intersect(depth_j.mask << 1)
-                depth_j.intersect(depth_i.mask >> 1)
-
-    def satisfied(self, value_of) -> bool:
-        j = value_of(self.parent)
-        if j == self.i:
-            return True
-        return value_of(self.depths[self.i]) == value_of(self.depths[j]) + 1
-
-
 class RunningIntersection(Propagator):
     """For child node k and every other node i: if node i is at most as
     deep as node k, the vertices shared by i and k must all appear in
-    k's parent node.
+    k's parent node. The parent is one level above the child:
+    parent_k == p implies depth_k == depth_p + 1.
 
     The shared vertices are read straight from the node sets: those
     both nodes require. Once the guard is certainly true and the parent
@@ -184,7 +153,7 @@ class RunningIntersection(Propagator):
     nodes requires but node p cannot hold is excluded from the other.
     """
 
-    __slots__ = ("node_k", "depth_k", "parent_k", "node_sets", "pairs")
+    __slots__ = ("node_k", "depth_k", "parent_k", "depths", "node_sets", "pairs")
 
     def __init__(
         self,
@@ -199,17 +168,20 @@ class RunningIntersection(Propagator):
         self.node_k = node_sets[k]
         self.depth_k = depths[k]
         self.parent_k = parent_k
+        self.depths = list(depths)
         self.node_sets = list(node_sets)
-        self.pairs = [(depths[i], node_sets[i]) for i in range(len(node_sets)) if i != k]
+        self.pairs = [(i, depths[i], node_sets[i]) for i in range(len(node_sets)) if i != k]
 
     def propagate(self) -> None:
         node_k = self.node_k
         depth_k = self.depth_k
         parent = self.parent_k
         node_sets = self.node_sets
-        for depth_i, node_i in self.pairs:
+        for i, depth_i, node_i in self.pairs:
             dk = depth_k.mask
             di = depth_i.mask
+            if parent.mask >> i & 1 and (di << 1) & dk == 0:
+                parent.remove(i)  # node i cannot sit one level above node k
             if (di & -di).bit_length() > dk.bit_length():
                 continue  # guard certainly false: depth_i.min > depth_k.max
             shared_req = node_i.required & node_k.required
@@ -239,14 +211,21 @@ class RunningIntersection(Propagator):
                 # force node i strictly deeper than node k
                 depth_i.intersect(-1 << (dk & -dk).bit_length())
                 depth_k.intersect((1 << (di.bit_length() - 1)) - 1)
+        candidates = parent.mask
+        if candidates & (candidates - 1) == 0:
+            depth_p = self.depths[candidates.bit_length() - 1]
+            if depth_k.mask != depth_p.mask << 1:
+                depth_k.intersect(depth_p.mask << 1)
+                depth_p.intersect(depth_k.mask >> 1)
 
     def satisfied(self, value_of) -> bool:
         depth_k = value_of(self.depth_k)
         node_k = value_of(self.node_k)
-        bag = value_of(self.node_sets[value_of(self.parent_k)])
-        return all(
+        p = value_of(self.parent_k)
+        bag = value_of(self.node_sets[p])
+        return depth_k == value_of(self.depths[p]) + 1 and all(
             value_of(node_i) & node_k <= bag
-            for depth_i, node_i in self.pairs
+            for _, depth_i, node_i in self.pairs
             if value_of(depth_i) <= depth_k
         )
 

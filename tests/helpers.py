@@ -161,7 +161,6 @@ def random_constraint_instance(rng: random.Random) -> Solver:
         CardinalityAtMost,
         EdgeInNode,
         LexLeq,
-        ParentDepth,
         RunningIntersection,
         UnionEquals,
     )
@@ -189,11 +188,13 @@ def random_constraint_instance(rng: random.Random) -> Solver:
         tighten_randomly(s, rng)
         s.post(AtLeastOne(bits))
     elif kind == 4:
+        # deeper trees than kind 5, with one-vertex sets: the depth rule
         size = rng.randint(2, 4)
-        parent = s.int_var(0, size - 1)
         depths = [s.int_var(0, size - 1) for _ in range(size)]
+        parent = s.int_var(0, size - 1)
+        nodes = [s.set_var(1) for _ in range(size)]
         tighten_randomly(s, rng)
-        s.post(ParentDepth(rng.randrange(1, size), parent, depths))
+        s.post(RunningIntersection(rng.randrange(size), depths, parent, nodes))
     elif kind == 5:
         nodes_n = 3
         k = rng.randrange(nodes_n)

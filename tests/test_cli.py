@@ -139,19 +139,6 @@ def test_edge_list_format_flag(tmp_path, capsys):
     assert "min_width=3" in capsys.readouterr().out
 
 
-def test_no_symmetry_breaking_flag(tmp_path, capsys):
-    f = tmp_path / "c4.gr"
-    f.write_text("p tw 4 4\n1 2\n2 3\n3 4\n4 1\n")
-    assert main(["treewidth", str(f)]) == 0
-    with_lex = capsys.readouterr().out
-    assert main(["treewidth", str(f), "--no-symmetry-breaking"]) == 0
-    without = capsys.readouterr().out
-    # same widths either way
-    assert [l for l in with_lex.splitlines() if "width" in l] == [
-        l for l in without.splitlines() if "width" in l
-    ]
-
-
 def test_parse_error_names_file_and_line(tmp_path, capsys):
     f = tmp_path / "bad.gr"
     f.write_text("p tw 2 1\n1 5\n")

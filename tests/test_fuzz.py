@@ -1,10 +1,10 @@
-"""Deterministic fuzzing of the parsers through the CLI: mutated .gr,
-edge-list and .td texts must end in exit code 0, 1 or 2, never in an
-escaping exception.
+"""Deterministic fuzzing of the CLI: mutated .gr, edge-list and .td
+texts must end in a documented exit code (0, 1 or 2; 10 or 20 from
+decide), never in an escaping exception.
 
-Only the commands that parse and check (validate, export-dot) run here.
-The solver commands are left out: a mutated header may declare up to
-graphio.MAX_VERTICES vertices, and a schedule on such a graph is slow.
+The solver commands run on the .gr mutants too. Every replacement
+token is either at most 4 or above graphio.MAX_VERTICES, so every graph
+that parses has at most 4 vertices and its schedule is quick.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ def _run(argv, capsys) -> int:
 def test_mutated_inputs_never_escape(seed, tmp_path, capsys):
     rng = random.Random(seed)
     gr, edges, td = tmp_path / "g.gr", tmp_path / "g.txt", tmp_path / "g.td"
-    codes = set()
+    codes, solver_codes = set(), set()
     for _ in range(30):
         gr.write_text(mutate(GR, rng))
         edges.write_text(mutate(EDGE_LIST, rng))
@@ -73,4 +73,14 @@ def test_mutated_inputs_never_escape(seed, tmp_path, capsys):
             code = _run(argv, capsys)
             assert code in (0, 1, 2), (argv, code)
             codes.add(code)
+        for argv in (
+            ["treewidth", str(gr), "--timeout", "1"],
+            ["pathwidth", str(gr), "--timeout", "1"],
+            ["decide", str(gr), "--m", "2", "--w", "2", "--decision-limit", "1000"],
+            ["decide", str(gr), "--m", "3", "--w", "2", "--path"],
+        ):
+            code = _run(argv, capsys)
+            assert code in (0, 1, 2, 10, 20), (argv, code)
+            solver_codes.add(code)
     assert codes == {0, 1}  # the mutants reach both accepting and rejecting paths
+    assert {0, 1} <= solver_codes  # some mutants are solved, others rejected

@@ -50,10 +50,9 @@ def test_size_formulas(m):
     assert len(mi.locations) == g.edge_count * m
     assert len(mi.solver.set_vars) == m
     assert lex_count(mi) == m - 1
-    # per node: cardinality; per child node: parent-depth, running
-    # intersection, lex; per edge: one location per node plus at-least-one;
-    # and the union
-    assert len(mi.solver.propagators) == m + 3 * (m - 1) + g.edge_count * (m + 1) + 1
+    # per node: cardinality; per child node: running intersection, lex;
+    # per edge: one location per node plus at-least-one; and the union
+    assert len(mi.solver.propagators) == m + 2 * (m - 1) + g.edge_count * (m + 1) + 1
     assert mi.decision_vars == mi.parents + mi.locations
 
 

@@ -19,7 +19,6 @@ from tdsolve.propagators import (
     CardinalityAtMost,
     EdgeInNode,
     LexLeq,
-    ParentDepth,
     RunningIntersection,
     UnionEquals,
 )
@@ -127,51 +126,56 @@ def test_at_least_one():
     assert not bits3[1].is_fixed()
 
 
-def test_parent_depth_fixes_child_depth():
+def _running_intersection_setup(size=3):
+    # child node k = 1 and node i = 0; every other node may be the parent
     s = Solver()
-    parent = s.int_var(0, 2)
-    depths = [s.int_var(0, 2) for _ in range(3)]
+    depths = [s.int_var(0, size - 1) for _ in range(size)]
+    parent_k = s.int_var(0, size - 1)
+    parent_k.remove(1)
+    nodes = [s.set_var(3) for _ in range(size)]
+    prop = RunningIntersection(1, depths, parent_k, nodes)
+    return s, depths, parent_k, nodes, prop
+
+
+def test_running_intersection_fixes_child_depth():
+    # no node set requires anything, so only the depth rule can prune
+    s, depths, parent, _, prop = _running_intersection_setup()
     depths[0].assign(0)
     parent.assign(0)
-    s.post(ParentDepth(1, parent, depths))
+    s.post(prop)
     assert s.propagate()
     assert depths[1].value() == 1
 
 
-def test_parent_depth_removes_incompatible_candidates():
-    s = Solver()
-    parent = s.int_var(0, 4)
-    depths = [s.int_var(0, 4) for _ in range(5)]
+def test_running_intersection_removes_parents_at_wrong_depth():
+    s, depths, parent, _, prop = _running_intersection_setup(5)
     depths[1].intersect(0b00010)  # depth 1
     depths[3].intersect(0b11000)  # depths 3..4
-    s.post(ParentDepth(1, parent, depths))
+    s.post(prop)
     assert s.propagate()
-    assert not parent.contains(3)
+    assert parent.domain() == [0, 2, 4]
 
 
-def test_parent_depth_compatible_candidates_untouched():
-    s = Solver()
-    parent = s.int_var(0, 2)
-    parent.intersect(0b101)  # {0, 2}
-    depths = [s.int_var(0, 2) for _ in range(3)]
-    s.post(ParentDepth(1, parent, depths))
+def test_running_intersection_keeps_parents_at_right_depth():
+    s, depths, parent, _, prop = _running_intersection_setup()
+    before = snapshot(s)
+    s.post(prop)
     assert s.propagate()
     assert parent.domain() == [0, 2]
+    assert snapshot(s) == before
 
 
-def _running_intersection_setup():
-    # child node k = 1, node i = 0, node 2 the other parent candidate
-    s = Solver()
-    depths = [s.int_var(0, 2) for _ in range(3)]
-    parent_k = s.int_var(0, 2)
-    parent_k.remove(1)
-    nodes = [s.set_var(3) for _ in range(3)]
-    prop = RunningIntersection(1, depths, parent_k, nodes)
-    return s, depths[0], depths[1], parent_k, nodes, prop
+def test_running_intersection_satisfied_needs_child_below_parent():
+    # node 1 hangs from node 0 and shares vertex 0 with it, which node 0
+    # holds: the node sets meet the running intersection either way
+    s, depths, parent, nodes, prop = _running_intersection_setup(2)
+    value = {parent: 0, depths[0]: 0, nodes[0]: frozenset({0}), nodes[1]: frozenset({0})}
+    assert prop.satisfied({**value, depths[1]: 1}.__getitem__)
+    assert not prop.satisfied({**value, depths[1]: 0}.__getitem__)
 
 
 def test_running_intersection_prunes_parent_candidates():
-    s, depth_i, depth_k, parent_k, nodes, prop = _running_intersection_setup()
+    s, (depth_i, depth_k, _), parent_k, nodes, prop = _running_intersection_setup()
     depth_i.assign(0)  # guard certainly true
     nodes[0].require_mask(0b100)
     nodes[1].require_mask(0b100)  # vertex 2 shared by nodes 0 and 1
@@ -182,7 +186,7 @@ def test_running_intersection_prunes_parent_candidates():
 
 
 def test_running_intersection_enforces_subset_when_parent_fixed():
-    s, depth_i, depth_k, parent_k, nodes, prop = _running_intersection_setup()
+    s, (depth_i, depth_k, _), parent_k, nodes, prop = _running_intersection_setup()
     depth_i.assign(0)
     parent_k.assign(2)
     nodes[0].require_mask(0b001)
@@ -195,7 +199,7 @@ def test_running_intersection_enforces_subset_when_parent_fixed():
 def test_running_intersection_back_prunes_once_parent_fixed():
     # a vertex that one node requires and the fixed parent cannot hold
     # must leave the other node, although nothing is shared yet
-    s, depth_i, depth_k, parent_k, nodes, prop = _running_intersection_setup()
+    s, (depth_i, depth_k, _), parent_k, nodes, prop = _running_intersection_setup()
     depth_i.assign(0)
     parent_k.assign(2)
     nodes[1].require_mask(0b100)
@@ -209,9 +213,10 @@ def test_running_intersection_back_prunes_once_parent_fixed():
 
 
 def test_running_intersection_idle_when_guard_false():
-    s, depth_i, depth_k, parent_k, nodes, prop = _running_intersection_setup()
+    s, (depth_i, depth_k, depth_p), parent_k, nodes, prop = _running_intersection_setup()
     depth_i.intersect(0b100)  # depth 2
-    depth_k.intersect(0b011)  # depths {0, 1}
+    depth_k.intersect(0b010)  # depth 1, under its parent at depth 0
+    depth_p.assign(0)
     parent_k.assign(2)
     nodes[0].require_mask(0b111)
     nodes[1].require_mask(0b111)
@@ -223,7 +228,7 @@ def test_running_intersection_idle_when_guard_false():
 
 
 def test_running_intersection_forces_guard_negation():
-    s, depth_i, depth_k, parent_k, nodes, prop = _running_intersection_setup()
+    s, (depth_i, depth_k, _), parent_k, nodes, prop = _running_intersection_setup()
     parent_k.assign(2)
     nodes[0].require_mask(0b001)
     nodes[1].require_mask(0b001)
@@ -246,8 +251,8 @@ def test_running_intersection_covers_every_other_node():
     parent_k = s.int_var(0, 1)
     nodes = [s.set_var(3) for _ in range(3)]
     depths[0].assign(0)
-    depths[1].assign(1)
-    depths[2].assign(2)
+    depths[1].assign(0)
+    depths[2].assign(1)
     nodes[0].require_mask(0b100)
     nodes[1].require_mask(0b010)
     nodes[2].require_mask(0b110)
