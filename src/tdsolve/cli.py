@@ -53,6 +53,8 @@ def _step_line(step, stats: bool) -> str:
     line = f"m={step.m} w={step.w} {step.status.value} decisions={step.report.decisions}"
     if step.bound is not None:
         line += " by=bound"
+    elif step.confirmed:
+        line += " by=order"
     if stats:
         line += (
             f" propagations={step.report.propagations}"
@@ -84,6 +86,10 @@ def _cmd_decide(args) -> int:
         raise ValueError(f"--w must be at least 1, got {args.w}")
     _check_limits(args)
     g = _load_graph(args.graph, args.format)
+    # the model grows as m^2, and m = n answers every m > n: a duplicate
+    # leaf pads a decomposition, and a smooth one has n + 1 - w <= n nodes
+    if args.m > g.n:
+        raise ValueError(f"--m must be at most the vertex count {g.n}, got {args.m}")
     variant = Variant.PATH if args.path else Variant.TREE
     step = decide(
         g,
@@ -176,8 +182,16 @@ def _add_graph_arg(sub) -> None:
 
 
 def _add_solver_flags(sub) -> None:
-    sub.add_argument("--decision-limit", type=int, default=None, metavar="N")
-    sub.add_argument("--timeout", type=float, default=None, metavar="SECONDS")
+    sub.add_argument(
+        "--decision-limit", type=int, metavar="N", help="decision cap per searched step"
+    )
+    sub.add_argument(
+        "--timeout",
+        type=float,
+        metavar="SECONDS",
+        help="time cap per searched step; in a schedule, also the budget of the greedy order"
+        " and its confirmations together",
+    )
     sub.add_argument("--stats", action="store_true", help="print per-step search statistics")
     sub.add_argument("--td-output", metavar="FILE", help="write the witness decomposition")
     sub.add_argument("--dot-output", metavar="FILE", help="write a DOT rendering of the result")
@@ -189,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = commands.add_parser("decide", help="is there a decomposition with m nodes, width <= w?")
     _add_graph_arg(sub)
-    sub.add_argument("--m", type=int, required=True, help="node count")
+    sub.add_argument("--m", type=int, required=True, help="node count, at most the vertex count")
     sub.add_argument("--w", type=int, required=True, help="width bound")
     sub.add_argument("--path", action="store_true", help="require a path-shaped decomposition")
     _add_solver_flags(sub)

@@ -15,11 +15,12 @@ It also computes an upper bound ub >= tw(g) + 1 from a greedy vertex
 order: min-degree elimination for trees, a smallest-boundary placement
 for paths. For every w >= ub the order gives a decomposition with
 exactly n + 1 - w nodes of at most w vertices (merge the bags of the
-last w eliminated, or the first w placed, vertices into one), and the
-step passes it to the engine as the values to try first. The step is
-still searched and its witness still comes out of the model; a hint
-only reorders values, so every status, and the search of every UNSAT
-step, is what it would be without it.
+last w eliminated, or the first w placed, vertices into one). Such a
+step is SAT without search: the model confirms that decomposition by
+one propagation, and the witness still comes out of the model and
+passes the validator. The decision and time limits cap searched steps
+only: those with lb < w < ub and, once the timeout (which caps the
+order and its confirmations together) has passed, every later one.
 """
 
 from __future__ import annotations
@@ -58,7 +59,9 @@ class ScheduleStep:
     lower bound instead of search carries ``bound``: branch sets of a
     minor of the graph with minimum degree at least w, which
     ``validator.check_minor_bound`` accepted; its report counts no
-    decisions, propagations or fails.
+    decisions, propagations or fails. A ``confirmed`` step is SAT by
+    the greedy order's decomposition, which one propagation of the
+    model accepted; its report counts no decisions or fails.
     """
 
     m: int
@@ -67,6 +70,7 @@ class ScheduleStep:
     report: SolveReport
     witness: TreeDecomposition | None
     bound: tuple[frozenset[int], ...] | None = None
+    confirmed: bool = False
 
 
 @dataclass
@@ -99,22 +103,32 @@ def decide(
     symmetry_breaking: bool = True,
     decision_limit: int | None = None,
     timeout: float | None = None,
-    hint: TreeDecomposition | None = None,
+    confirm: TreeDecomposition | None = None,
 ) -> ScheduleStep:
     """Solve one decision instance; SAT steps carry a validated witness.
 
-    ``hint``, a decomposition with m nodes (in path order for PATH), is
-    the assignment the engine tries first. It changes neither the
-    answer nor the search of an UNSAT instance, only how soon a SAT
-    one finds its witness.
+    Without ``confirm`` the instance is searched under the decision and
+    time limits. With it, a decomposition with m nodes of at most w
+    vertices (in path order for PATH), the model checks that
+    decomposition by one propagation instead (``Solver.check``): the
+    step is SAT with no decision or fail, and the limits do not apply.
+    A decomposition the model rejects raises RuntimeError.
     """
     mi = build_model(g, m, w, variant=variant, symmetry_breaking=symmetry_breaking)
-    report = mi.solver.solve(
-        decision_vars=mi.decision_vars,
-        decision_limit=decision_limit,
-        timeout=timeout,
-        hint=None if hint is None else encode_decomposition(mi, hint),
-    )
+    if confirm is None:
+        report = mi.solver.solve(
+            decision_vars=mi.decision_vars, decision_limit=decision_limit, timeout=timeout
+        )
+    else:
+        start = time.perf_counter()
+        found = mi.solver.check(encode_decomposition(mi, confirm))
+        if found is None:
+            raise RuntimeError(
+                f"step (m={m}, w={w}): the model rejects the decomposition to confirm"
+            )
+        report = SolveReport(
+            Status.SAT, found, 0, mi.solver.propagations, 0, time.perf_counter() - start
+        )
     witness = None
     if report.status is Status.SAT:
         td = extract_decomposition(mi, report.witness)
@@ -127,7 +141,7 @@ def decide(
                 + "; ".join(str(v) for v in violations)
             )
         witness = td
-    return ScheduleStep(m=m, w=w, status=report.status, report=report, witness=witness)
+    return ScheduleStep(m, w, report.status, report, witness, confirmed=confirm is not None)
 
 
 class _Buckets:
@@ -338,7 +352,8 @@ def _run_schedule(
                 + "; ".join(str(v) for v in violations)
             )
         bound_s = time.perf_counter() - start
-        # A timeout also caps the order: past it, the steps run unhinted.
+        # A timeout also caps the order and its confirmations: past it,
+        # the steps are searched, each under its own cap.
         deadline = None if timeout is None else time.perf_counter() + timeout
         upper = upper_bound(g, variant, deadline)
         for m, w in _schedule_pairs(g.n):
@@ -346,9 +361,9 @@ def _run_schedule(
                 report = SolveReport(Status.UNSAT, None, 0, 0, 0, bound_s)
                 trace.append(ScheduleStep(m, w, Status.UNSAT, report, None, bound=minor))
                 break
-            hint = None
-            if upper is not None and w >= upper[0]:
-                hint = smooth_decomposition(variant, upper[1], upper[2], w)
+            confirm = None
+            if upper is not None and w >= upper[0] and not _out_of_time(deadline):
+                confirm = smooth_decomposition(variant, upper[1], upper[2], w)
             step = decide(
                 g,
                 m,
@@ -356,7 +371,7 @@ def _run_schedule(
                 variant=variant,
                 decision_limit=decision_limit,
                 timeout=timeout,
-                hint=hint,
+                confirm=confirm,
             )
             trace.append(step)
             if step.status is Status.UNSAT:

@@ -324,7 +324,6 @@ class Solver:
         decision_vars: Optional[list[IntVar]] = None,
         decision_limit: Optional[int] = None,
         timeout: Optional[float] = None,
-        hint: Optional[dict] = None,
     ) -> SolveReport:
         """Depth-first search with propagation to fixpoint at every node.
 
@@ -334,17 +333,10 @@ class Solver:
         exclude, lowest variable and element first) until every
         variable is fixed. Returns the first full assignment, or UNSAT
         after exhausting the tree, or INDETERMINATE when a limit is hit.
-
-        ``hint`` maps variables to preferred values (an int for an
-        IntVar, a membership mask for a SetVar). A hinted value is tried
-        first: a set element the hint leaves out is excluded before it
-        is included. The hint changes only the order of values, never
-        which variable is branched on, so an exhausted (UNSAT) tree is
-        the same with any hint. If the hint satisfies every constraint,
-        the search follows it to the end without a fail.
+        To confirm a known assignment instead of searching, use
+        ``check``.
         """
         dvars = list(self.int_vars) if decision_vars is None else list(decision_vars)
-        hint = {} if hint is None else hint
         self.decisions = 0
         self.propagations = 0
         self.fails = 0
@@ -367,7 +359,7 @@ class Solver:
         # A frame is [trail mark, alternatives, index of the next one to try].
         frames: list[list] = []
         while True:
-            alternatives = self._branch(dvars, hint)
+            alternatives = self._branch(dvars)
             if alternatives is None:
                 return report(Status.SAT, self._witness())
             if decision_limit is not None and self.decisions >= decision_limit:
@@ -395,9 +387,8 @@ class Solver:
             if not descended:
                 return report(Status.UNSAT)
 
-    def _branch(self, dvars: list[IntVar], hint: Optional[dict] = None):
+    def _branch(self, dvars: list[IntVar]):
         """Alternatives at this node, or None when everything is fixed."""
-        hint = {} if hint is None else hint
         chosen = None
         best_size = None
         for var in dvars:
@@ -410,18 +401,11 @@ class Solver:
                 undecided = svar.undecided()
                 if undecided:
                     e = (undecided & -undecided).bit_length() - 1
-                    if hint.get(svar, -1) >> e & 1:  # unhinted: include first
-                        return [("in", svar, e), ("out", svar, e)]
-                    return [("out", svar, e), ("in", svar, e)]
+                    return [("in", svar, e), ("out", svar, e)]
             chosen = next((var for var in self.int_vars if not var.is_fixed()), None)
             if chosen is None:
                 return None
-        values = chosen.domain()
-        preferred = hint.get(chosen)
-        if preferred in values:
-            values.remove(preferred)
-            values.insert(0, preferred)
-        return [("=", chosen, v) for v in values]
+        return [("=", chosen, v) for v in chosen.domain()]
 
     @staticmethod
     def _apply(alt) -> None:
@@ -432,6 +416,34 @@ class Solver:
             var.include(v)
         else:
             var.exclude(v)
+
+    def check(self, values: dict) -> Optional[dict]:
+        """Confirm an assignment with one propagation instead of a search.
+
+        On a freshly built model, fixes every variable in ``values`` (an
+        IntVar to its int, a SetVar to its membership mask) and runs the
+        queue to fixpoint once. Returns the full assignment, in the
+        layout of a solve witness, if no propagator fails and every
+        variable is then fixed; None otherwise. Counts the propagations,
+        and no decision or fail.
+        """
+        self.decisions = 0
+        self.propagations = 0
+        self.fails = 0
+        try:
+            for var, value in values.items():
+                if isinstance(var, SetVar):
+                    var.require_mask(value)
+                    var.restrict(value)
+                elif var.contains(value):
+                    var.assign(value)
+                else:
+                    return None
+        except Inconsistent:
+            return None
+        if not self.propagate() or not all(v.is_fixed() for v in self.int_vars + self.set_vars):
+            return None
+        return self._witness()
 
     def _witness(self) -> dict:
         witness: dict = {}

@@ -142,7 +142,7 @@ def encode_decomposition(mi: ModelInstance, td: TreeDecomposition) -> dict:
     from the result. Raises ValueError unless td has exactly mi.m nodes.
     """
     if td.m != mi.m:
-        raise ValueError(f"a hint for {mi.m} nodes has {td.m}")
+        raise ValueError(f"a decomposition to encode for {mi.m} nodes has {td.m}")
     masks = [sum(1 << v for v in bag) for bag in td.nodes]
 
     def lex_key(i: int) -> str:

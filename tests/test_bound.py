@@ -1,6 +1,7 @@
 """Minor-min-width lower bound: its certificate checker, and agreement
 with the oracle and with the model's own UNSAT proofs. Greedy upper
-bound: its m-node decompositions, checked by the validator."""
+bound: its m-node decompositions, checked by the validator and
+confirmed by the model at every schedule step they cover."""
 
 from __future__ import annotations
 
@@ -117,8 +118,10 @@ def test_schedule_dives_at_every_step_the_upper_bound_covers():
         for run, variant in ((treewidth, Variant.TREE), (pathwidth, Variant.PATH)):
             ub = upper_bound(g, variant)[0]
             for step in run(g).trace:
+                report = step.report
                 if step.w >= ub:
-                    assert (step.status, step.report.fails) == (Status.SAT, 0)
+                    assert (step.status, report.decisions, report.fails) == (Status.SAT, 0, 0)
+                assert step.confirmed is (step.w >= ub)
 
 
 def test_checker_rejects_a_disconnected_branch_set():

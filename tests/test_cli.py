@@ -182,31 +182,52 @@ def test_usage_error_exit_code(k3):
     assert err.value.code == 1
 
 
-@pytest.mark.parametrize("command", ["treewidth", "pathwidth", "decide"])
+LIMITS = [
+    ("--timeout", "nan"),
+    ("--timeout", "inf"),
+    ("--timeout", "-1"),
+    ("--decision-limit", "-3"),
+]
+COMMANDS = ("treewidth", "pathwidth", "decide")
+
+
 @pytest.mark.parametrize(
-    "flag, value",
-    [
-        ("--timeout", "nan"),
-        ("--timeout", "inf"),
-        ("--timeout", "-1"),
-        ("--decision-limit", "-3"),
-    ],
+    "flag, value, command",
+    [(flag, value, command) for command in COMMANDS for flag, value in LIMITS]
+    # K3 has 3 vertices
+    + [("--m", "0", "decide"), ("--m", "4", "decide"), ("--m", "400", "decide")],
 )
 def test_bad_search_limits_are_usage_errors(command, flag, value, k3, capsys):
-    argv = [command, k3, flag, value]
-    if command == "decide":
-        argv += ["--m", "2", "--w", "2"]
+    argv = [command, k3] + (["--m", "2", "--w", "2"] if command == "decide" else []) + [flag, value]
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: {flag} must be")
 
 
+# G(6, 1/2) drawn from random.Random(8): its bounds leave step (3, 4)
+# to search (minor-min-width 3, greedy order 5), and that takes 19 decisions
+GAP_GR = "p tw 6 10\n1 2\n1 4\n1 6\n2 3\n2 5\n3 4\n3 5\n3 6\n4 5\n5 6\n"
+
+
 def test_timeout_indeterminate_on_width_command(tmp_path, capsys):
     g = tmp_path / "g.gr"
-    g.write_text("p tw 6 9\n1 2\n2 3\n3 4\n4 5\n5 6\n6 1\n1 4\n2 5\n3 6\n")
+    g.write_text(GAP_GR)
     assert main(["treewidth", str(g), "--decision-limit", "1"]) == 2
     assert "INDETERMINATE" in capsys.readouterr().out
+
+
+def test_confirmed_step_line(tmp_path, capsys):
+    g = tmp_path / "g.gr"
+    g.write_text(GAP_GR)
+    assert main(["treewidth", str(g)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == ["m=1 w=6 SAT decisions=0 by=order", "m=2 w=5 SAT decisions=0 by=order"]
+    assert lines[2] == "m=3 w=4 SAT decisions=19"
+    assert main(["treewidth", str(g), "--stats"]) == 0
+    line = capsys.readouterr().out.splitlines()[1]
+    assert line.startswith("m=2 w=5 SAT decisions=0 by=order propagations=")
+    assert " fails=0 time=" in line
 
 
 def test_bound_decided_step_line(p3, capsys):

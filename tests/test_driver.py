@@ -18,11 +18,13 @@ from helpers import (
 from tdsolve.driver import (
     SearchLimitExceeded,
     decide,
+    minor_min_width,
     pathwidth,
     treewidth,
+    upper_bound,
 )
 from tdsolve.engine import Status
-from tdsolve.graphs import Graph
+from tdsolve.graphs import Graph, TreeDecomposition
 from tdsolve.model import Variant
 from tdsolve.oracle import brute_pathwidth, brute_treewidth
 from tdsolve.validator import validate
@@ -148,7 +150,9 @@ def test_duplicate_free_witnesses_respect_node_bound():
 
 
 def test_decision_limit_gives_indeterminate():
-    g = random_graph(6, 0.5, random.Random(2))
+    # the bounds leave step (3, 4) of this graph's schedule to search
+    g = random_graph(6, 0.5, random.Random(8))
+    assert minor_min_width(g)[0] < 4 < upper_bound(g, Variant.TREE)[0]
     step = decide(g, 3, 4, decision_limit=1)
     assert step.status is Status.INDETERMINATE
     assert step.witness is None
@@ -156,6 +160,21 @@ def test_decision_limit_gives_indeterminate():
         treewidth(g, decision_limit=1)
     assert err.value.step.status is Status.INDETERMINATE
     assert err.value.trace[-1] is err.value.step
+
+
+def test_confirm_rejects_a_broken_decomposition():
+    g = path_graph(4)
+    # right sizes, but vertex 1 skips the middle node
+    broken = TreeDecomposition.from_parents([{0, 1}, {2, 3}, {1, 2}], [0, 0, 1])
+    assert validate(g, broken, expect_m=3, expect_w=2) != []
+    for variant in Variant:
+        with pytest.raises(RuntimeError, match=r"step \(m=3, w=2\)"):
+            decide(g, 3, 2, variant=variant, confirm=broken)
+    sound = TreeDecomposition.from_parents([{0, 1}, {1, 2}, {2, 3}], [0, 0, 1])
+    step = decide(g, 3, 2, confirm=sound, decision_limit=0)
+    report = step.report
+    assert (step.status, step.confirmed, report.decisions, report.fails) == (Status.SAT, True, 0, 0)
+    assert report.propagations > 0
 
 
 def test_timeout_caps_a_large_graph():

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from helpers import snapshot, solutions_within, tighten_randomly
-from tdsolve.engine import Propagator, Solver, Status
+from tdsolve.engine import Propagator, Solver, Status, bits_of
 from tdsolve.propagators import AtLeastOne, CardinalityAtMost, UnionEquals
 
 
@@ -225,52 +225,66 @@ def test_bad_domain_rejected():
         s.set_var(-2)
 
 
-def _random_hint(s, rng):
-    """Preferred values for every variable, unrelated to any solution."""
-    hint = {var: rng.randint(0, 3) for var in s.int_vars}
-    hint.update({svar: rng.getrandbits(3) for svar in s.set_vars})
-    return hint
+def _check_fresh(seed, values):
+    """``check`` on a fresh copy of seed's micro model. ``values`` maps
+    variable positions (integers first, then sets) to witness values."""
+    s = _random_micro_model(random.Random(seed))
+    variables = s.int_vars + s.set_vars
+    masks = {
+        variables[i]: v if isinstance(v, int) else sum(1 << e for e in v) for i, v in values.items()
+    }
+    return s, s.check(masks)
 
 
-def test_hint_reorders_values_only():
-    # an exhausted tree is the same whatever value comes first; a SAT
-    # answer is still a checked solution
-    unsat = sat = 0
-    for seed in range(300):
-        plain = _random_micro_model(random.Random(seed)).solve()
-        s = _random_micro_model(random.Random(seed))
-        hinted = s.solve(hint=_random_hint(s, random.Random(seed)))
-        assert hinted.status is plain.status
-        if plain.status is Status.UNSAT:
-            assert (hinted.decisions, hinted.fails) == (plain.decisions, plain.fails)
-            unsat += 1
-        else:
-            assert s.check_witness(hinted.witness)
-            sat += 1
-    assert unsat > 20 and sat > 100
+def _solutions(seed):
+    """Every solution of seed's micro model, as tuples in variable order."""
+    s = _random_micro_model(random.Random(seed))
+    variables = s.int_vars + s.set_vars
+    return [tuple(a[v] for v in variables) for a in solutions_within(s, *snapshot(s))]
 
 
-def test_hint_of_a_solution_is_followed_without_a_fail():
+def test_check_returns_a_solution_as_is():
+    confirmed = 0
     for seed in range(200):
-        s = _random_micro_model(random.Random(seed))
-        report = s.solve()
-        if report.status is not Status.SAT:
+        for solution in _solutions(seed)[:3]:
+            s, found = _check_fresh(seed, dict(enumerate(solution)))
+            assert found == dict(zip(s.int_vars + s.set_vars, solution))
+            assert (s.decisions, s.fails) == (0, 0)
+            assert s.check_witness(found)
+            confirmed += 1
+    assert confirmed > 300
+
+
+def test_check_rejects_what_is_not_a_solution():
+    rejected = {"broken": 0, "outside": 0, "partial": 0}
+    for seed in range(200):
+        solutions = _solutions(seed)
+        if not solutions:
             continue
-        solution = {
-            var: value if var in s.int_vars else sum(1 << e for e in value)
-            for var, value in report.witness.items()
-        }
-        again = _random_micro_model(random.Random(seed))
-        by_name = dict(zip(s.int_vars + s.set_vars, again.int_vars + again.set_vars))
-        hinted = again.solve(hint={by_name[var]: value for var, value in solution.items()})
-        assert hinted.status is Status.SAT and hinted.fails == 0
-        assert {var: hinted.witness[by_name[var]] for var in solution} == report.witness
-
-
-def test_hint_prefers_exclusion_of_a_set_element():
-    s = Solver()
-    x = s.set_var(3)
-    s.post(CardinalityAtMost(x, 2))
-    report = s.solve(hint={x: 0b010})
-    assert report.witness[x] == frozenset({1})
-    assert report.fails == 0
+        s = _random_micro_model(random.Random(seed))
+        solution = dict(enumerate(solutions[0]))
+        ints = len(s.int_vars)
+        # one value changed, within the bounds, so that a constraint breaks
+        for i, var in enumerate(s.int_vars + s.set_vars):
+            if i < ints:
+                others = [v for v in var.domain() if v != solution[i]]
+            else:
+                others = [solution[i] ^ {e} for e in bits_of(var.undecided())]
+            changed = [{**solution, i: v} for v in others]
+            broken = [c for c in changed if tuple(c.values()) not in solutions]
+            for values in broken[:1]:
+                assert _check_fresh(seed, values)[1] is None
+                rejected["broken"] += 1
+        # a value outside its domain: integers range over 0..3, sets over
+        # a universe of at most 3 elements
+        assert _check_fresh(seed, {**solution, 0: 4})[1] is None
+        assert _check_fresh(seed, {**solution, 0: -1})[1] is None
+        assert _check_fresh(seed, {**solution, ints: solution[ints] | {3}})[1] is None
+        rejected["outside"] += 1
+        # a partial assignment that two solutions complete
+        for i in solution:
+            rest = {j: v for j, v in solution.items() if j != i}
+            if sum(all(other[j] == v for j, v in rest.items()) for other in solutions) > 1:
+                assert _check_fresh(seed, rest)[1] is None
+                rejected["partial"] += 1
+    assert min(rejected.values()) > 50, rejected

@@ -215,7 +215,7 @@ def _as_witness(values):
 
 def test_encoding_inverts_extraction_and_dives_without_a_fail():
     # every step with w >= ub: the encoded decomposition satisfies every
-    # posted constraint, so the hinted search follows it to the end
+    # posted constraint, so one propagation confirms it without search
     rng = random.Random(61)
     graphs = [random_graph(rng.randint(2, 7), 0.5, rng) for _ in range(30)]
     checked = 0
@@ -228,14 +228,15 @@ def test_encoding_inverts_extraction_and_dives_without_a_fail():
                 values = encode_decomposition(mi, smooth_decomposition(variant, order, bags, w))
                 every_var = set(mi.solver.int_vars) | set(mi.solver.set_vars)
                 assert set(values) == every_var - set(mi.depths)
-                hinted = _as_witness(values)
-                td = extract_decomposition(mi, hinted)
+                encoded = _as_witness(values)
+                td = extract_decomposition(mi, encoded)
                 is_path = variant is Variant.PATH
                 assert validate(g, td, expect_m=m, expect_w=w, expect_path=is_path) == []
-                report = mi.solver.solve(decision_vars=mi.decision_vars, hint=values)
-                assert (report.status, report.fails) == (Status.SAT, 0)
-                assert {var: report.witness[var] for var in hinted} == hinted
-                assert mi.solver.check_witness(report.witness), (g.edges, variant, w)
+                found = mi.solver.check(values)
+                assert found is not None, (g.edges, variant, w)
+                assert (mi.solver.decisions, mi.solver.fails) == (0, 0)
+                assert {var: found[var] for var in encoded} == encoded
+                assert mi.solver.check_witness(found), (g.edges, variant, w)
                 checked += 1
     assert checked > 100
 
@@ -257,27 +258,3 @@ def test_encoding_orders_nodes_for_symmetry_breaking():
     assert mi.solver.check_witness(_as_witness(values) | dict(zip(mi.depths, range(3))))
     with pytest.raises(ValueError):
         encode_decomposition(build_model(g, 2, 3), path)
-
-
-def test_hint_changes_no_answer_and_no_unsat_search():
-    rng = random.Random(67)
-    unsat = 0
-    for _ in range(12):
-        g = random_graph(rng.randint(4, 6), 0.5, rng)
-        for variant in Variant:
-            for m, w in _schedule_pairs(g.n)[1:]:
-                plain = decide(g, m, w, variant=variant)
-                # a wrong hint: every node holds the same two vertices
-                wrong = TreeDecomposition.from_parents([{0, 1}] * m, [0] + list(range(m - 1)))
-                hinted = decide(g, m, w, variant=variant, hint=wrong)
-                assert hinted.status is plain.status
-                if plain.status is Status.UNSAT:
-                    assert (hinted.report.decisions, hinted.report.fails) == (
-                        plain.report.decisions,
-                        plain.report.fails,
-                    )
-                    unsat += 1
-                    break
-                is_path = variant is Variant.PATH
-                assert validate(g, hinted.witness, m, w, expect_path=is_path) == []
-    assert unsat > 10

@@ -8,12 +8,12 @@ before RunningIntersection was merged per child node and before LexLeq
 ran on set bounds. An exact propagation change keeps every one of them;
 only the propagation count may move.
 
-Every pinned step is searched again through unhinted ``decide``, so the
-whole search tree stays pinned although the schedule no longer searches
-every step the same way. The schedule must match the same table except
-that a step with w <= minor_min_width(g) reads 0 decisions and 0 fails
-and carries the certificate, and a step with w >= the greedy upper bound
-is solved by a hinted dive: SAT, with no fail.
+Every pinned step is searched again through ``decide``, so the whole
+search tree stays pinned although the schedule no longer searches every
+step. The schedule must match the same table except that a step with
+w <= minor_min_width(g) reads 0 decisions and 0 fails and carries the
+certificate, and a step with w >= the greedy upper bound is confirmed
+from the greedy order's decomposition: SAT, with no decision or fail.
 
 The witnesses are pinned too: the sha256 of the ``.td`` text that
 ``write_td`` gives for each schedule's witness. A change that only
@@ -158,7 +158,7 @@ def test_search_tree_is_pinned(problem, index):
         if w <= lb:
             assert _row(step, step.report.decisions, step.report.fails) == (m, w, status, 0, 0)
         elif w >= ub:
-            assert (step.m, step.w, step.status.value, step.report.fails) == (m, w, "SAT", 0)
+            assert _row(step, step.report.decisions, step.report.fails) == (m, w, "SAT", 0, 0)
             assert status == "SAT"
         else:
             assert _row(step, step.report.decisions, step.report.fails) == (
