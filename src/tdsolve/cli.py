@@ -126,6 +126,8 @@ def _cmd_width(args, runner, label: str) -> int:
         return EXIT_INDETERMINATE
     for step in result.trace:
         print(_step_line(step, args.stats))
+    if args.stats:
+        print(f"bounds lb={result.lb} ub={'none' if result.ub is None else result.ub}")
     print(f"min_width={result.min_width}")
     print(f"{label}={result.min_width - 1}")
     _write_outputs(args, g, result.witness)
@@ -189,8 +191,8 @@ def _add_solver_flags(sub) -> None:
         "--timeout",
         type=float,
         metavar="SECONDS",
-        help="time cap per searched step; in a schedule, also the budget of the greedy order"
-        " and its confirmations together",
+        help="time cap per searched step; in a schedule, also the budget of the bounds"
+        " and the order's confirmations together",
     )
     sub.add_argument("--stats", action="store_true", help="print per-step search statistics")
     sub.add_argument("--td-output", metavar="FILE", help="write the witness decomposition")

@@ -18,9 +18,17 @@ exactly n + 1 - w nodes of at most w vertices (merge the bags of the
 last w eliminated, or the first w placed, vertices into one). Such a
 step is SAT without search: the model confirms that decomposition by
 one propagation, and the witness still comes out of the model and
-passes the validator. The decision and time limits cap searched steps
-only: those with lb < w < ub and, once the timeout (which caps the
-order and its confirmations together) has passed, every later one.
+passes the validator.
+
+While ub - lb >= 2 leaves steps to search, ``bounds`` tries stronger
+ones and keeps each only if it is strictly better: the least-c
+contraction rule for lb (Bodlaender, Koster & Wolle 2006), and for ub a
+min-fill elimination order (trees; Bodlaender & Koster 2010) or the
+greedy placement from every start vertex (paths).
+
+The decision and time limits cap searched steps only: those with
+lb < w < ub and, once the timeout (which caps the bounds and the
+confirmations together) has passed, every later one.
 """
 
 from __future__ import annotations
@@ -79,12 +87,18 @@ class WidthResult:
 
     min_width is the cardinality of the largest node in an optimal
     decomposition; the conventional treewidth/pathwidth subtracts one.
+    lb and ub are the schedule's bounds: every step with w <= lb was
+    UNSAT by the minor, and every step with w >= ub SAT by the order
+    while its time lasted (ub is None if the order ran out of time).
+    lb < min_width <= ub.
     """
 
     min_width: int
     witness: TreeDecomposition
     trace: list[ScheduleStep]
     variant: Variant
+    lb: int
+    ub: int | None
 
     @property
     def treewidth(self) -> int:
@@ -177,6 +191,10 @@ class _Buckets:
         return v
 
 
+def _out_of_time(deadline: float | None) -> bool:
+    return deadline is not None and time.perf_counter() > deadline
+
+
 def minor_min_width(g: Graph) -> tuple[int, tuple[frozenset[int], ...]]:
     """Minor-min-width lower bound on the treewidth of g, with its minor.
 
@@ -188,11 +206,22 @@ def minor_min_width(g: Graph) -> tuple[int, tuple[frozenset[int], ...]]:
     Each is connected in g and the minor has minimum degree lb, which
     ``validator.check_minor_bound`` checks by direct traversal.
     """
+    return _contraction_bound(g, False, None)
+
+
+def _contraction_bound(
+    g: Graph, least_c: bool, deadline: float | None
+) -> tuple[int, tuple[frozenset[int], ...]] | None:
+    """``minor_min_width``, or with ``least_c`` its least-c rule: v is
+    contracted into the neighbour it shares the fewest neighbours with
+    (lowest index on ties). None once ``deadline`` passes."""
     adj = {v: set(g.adjacency[v]) for v in range(g.n)}
     branch = {v: {v} for v in range(g.n)}
     queue = _Buckets([len(adj[v]) for v in range(g.n)])
     lb, minor = 0, tuple(frozenset(b) for b in branch.values())
     while adj:
+        if _out_of_time(deadline):
+            return None
         v = queue.pop()
         if len(adj[v]) > lb:
             lb = len(adj[v])
@@ -202,7 +231,10 @@ def minor_min_width(g: Graph) -> tuple[int, tuple[frozenset[int], ...]]:
         for x in neighbours:
             adj[x].discard(v)
         if neighbours:
-            u = min(neighbours, key=lambda x: (len(adj[x]), x))
+            if least_c:
+                u = min(neighbours, key=lambda x: (len(adj[x] & neighbours), x))
+            else:
+                u = min(neighbours, key=lambda x: (len(adj[x]), x))
             branch[u] |= members
             for x in neighbours - {u}:
                 adj[x].add(u)
@@ -212,16 +244,24 @@ def minor_min_width(g: Graph) -> tuple[int, tuple[frozenset[int], ...]]:
     return lb, minor
 
 
-def _out_of_time(deadline: float | None) -> bool:
-    return deadline is not None and time.perf_counter() > deadline
-
-
-def _min_degree_order(g: Graph, deadline: float | None) -> tuple[list[int], list[int]] | None:
-    """Eliminate a vertex of minimum degree (lowest index on ties) and
+def _elimination_order(
+    g: Graph, deadline: float | None, min_fill: bool = False
+) -> tuple[list[int], list[int]] | None:
+    """Eliminate a vertex of minimum degree, or with ``min_fill`` one
+    whose elimination adds the fewest edges (lowest index on ties), and
     make its neighbours a clique, n times. The bag of each vertex, a
     mask, is the vertex and its neighbours when it was eliminated."""
     adj = [sum(1 << u for u in nbrs) for nbrs in g.adjacency]
-    queue = _Buckets([len(nbrs) for nbrs in g.adjacency])
+
+    def key(x: int) -> int:
+        nbrs = adj[x]
+        d = nbrs.bit_count()
+        if not min_fill:
+            return d
+        # every edge among the neighbours is counted from both ends
+        return (d * (d - 1) - sum((adj[u] & nbrs).bit_count() for u in bits_of(nbrs))) // 2
+
+    queue = _Buckets([key(x) for x in range(g.n)])
     order, bags = [], []
     for _ in range(g.n):
         if _out_of_time(deadline):
@@ -230,16 +270,25 @@ def _min_degree_order(g: Graph, deadline: float | None) -> tuple[list[int], list
         nbrs = adj[v]
         order.append(v)
         bags.append(nbrs | 1 << v)
+        touched = nbrs
         for u in bits_of(nbrs):
             adj[u] = (adj[u] | nbrs) & ~(1 << u | 1 << v)
-            queue.move(u, adj[u].bit_count())
+        if min_fill:
+            # the new edges also change the fill of the neighbours' neighbours
+            for u in bits_of(nbrs):
+                touched |= adj[u]
+        for u in bits_of(touched):
+            queue.move(u, key(u))
     return order, bags
 
 
-def _greedy_path_order(g: Graph, deadline: float | None) -> tuple[list[int], list[int]] | None:
-    """Place a vertex of minimum degree first, then each time the vertex
-    that leaves the smallest boundary (placed vertices with an unplaced
-    neighbour); ties go to most placed neighbours, then lowest index.
+def _greedy_path_order(
+    g: Graph, deadline: float | None, start: int | None = None
+) -> tuple[list[int], list[int]] | None:
+    """Place ``start``, by default a vertex of minimum degree, first,
+    then each time the vertex that leaves the smallest boundary (placed
+    vertices with an unplaced neighbour); ties go to most placed
+    neighbours, then lowest index.
     The bag of each vertex, a mask, is the boundary before it and itself.
 
     ``delta[x]`` is how much placing x would grow the boundary: 1 if x
@@ -265,7 +314,7 @@ def _greedy_path_order(g: Graph, deadline: float | None) -> tuple[list[int], lis
         if order:
             v = queue.pop()
         else:
-            v = min(range(g.n), key=lambda u: (open_deg[u], u))
+            v = min(range(g.n), key=lambda u: (open_deg[u], u)) if start is None else start
             queue.take(v)
         order.append(v)
         bags.append(boundary | 1 << v)
@@ -288,6 +337,15 @@ def _greedy_path_order(g: Graph, deadline: float | None) -> tuple[list[int], lis
     return order, bags
 
 
+def _with_width(
+    found: tuple[list[int], list[int]] | None,
+) -> tuple[int, list[int], list[int]] | None:
+    if found is None:
+        return None
+    order, bags = found
+    return max(b.bit_count() for b in bags), order, bags
+
+
 def upper_bound(
     g: Graph, variant: Variant, deadline: float | None = None
 ) -> tuple[int, list[int], list[int]] | None:
@@ -295,12 +353,60 @@ def upper_bound(
     one for PATH), with the greedy order and bag masks that prove it,
     as ``(ub, order, bags)``. None once ``time.perf_counter()`` passes
     ``deadline``."""
-    build = _min_degree_order if variant is Variant.TREE else _greedy_path_order
-    found = build(g, deadline)
-    if found is None:
-        return None
-    order, bags = found
-    return max(b.bit_count() for b in bags), order, bags
+    build = _elimination_order if variant is Variant.TREE else _greedy_path_order
+    return _with_width(build(g, deadline))
+
+
+def _other_orders(g: Graph, variant: Variant, deadline: float | None):
+    """The orders ``bounds`` tries after the greedy one: min-fill
+    elimination for TREE, the greedy placement from every start vertex
+    for PATH. Ends once ``deadline`` passes."""
+    if variant is Variant.TREE:
+        yield _elimination_order(g, deadline, min_fill=True)
+        return
+    for start in range(g.n):
+        if _out_of_time(deadline):
+            return
+        yield _greedy_path_order(g, deadline, start)
+
+
+def bounds(
+    g: Graph, variant: Variant, deadline: float | None = None
+) -> tuple[int, tuple[frozenset[int], ...], tuple[int, list[int], list[int]] | None]:
+    """The schedule's certified bounds, as ``(lb, minor, upper)``: lb and
+    its branch sets, and ``(ub, order, bags)`` or None (see
+    ``minor_min_width`` and ``upper_bound``).
+
+    While ub - lb >= 2 leaves a step to search, it also tries the
+    least-c rule for lb and ``_other_orders`` for ub, and keeps a bound
+    only if it is strictly better; these tries stop at ``deadline``, as
+    the greedy order does. The kept minor is checked once by
+    ``check_minor_bound``; a rejection raises RuntimeError.
+    """
+    lb, minor = minor_min_width(g)
+    upper = upper_bound(g, variant, deadline)
+
+    def gap() -> bool:
+        return upper is not None and upper[0] - lb >= 2
+
+    if gap():
+        found = _contraction_bound(g, True, deadline)
+        if found is not None and found[0] > lb:
+            lb, minor = found
+    if gap():
+        for found in map(_with_width, _other_orders(g, variant, deadline)):
+            if found is None:
+                break
+            if found[0] < upper[0]:
+                upper = found
+                if not gap():
+                    break
+    violations = check_minor_bound(g, minor, lb)
+    if violations:
+        raise RuntimeError(
+            "lower bound has an invalid certificate: " + "; ".join(str(v) for v in violations)
+        )
+    return lb, minor, upper
 
 
 def smooth_decomposition(
@@ -344,18 +450,11 @@ def _run_schedule(
     trace: list[ScheduleStep] = []
     try:
         start = time.perf_counter()
-        lb, minor = minor_min_width(g)
-        violations = check_minor_bound(g, minor, lb)
-        if violations:
-            raise RuntimeError(
-                "lower bound has an invalid certificate: "
-                + "; ".join(str(v) for v in violations)
-            )
-        bound_s = time.perf_counter() - start
-        # A timeout also caps the order and its confirmations: past it,
+        # A timeout also caps the bounds and the confirmations: past it,
         # the steps are searched, each under its own cap.
-        deadline = None if timeout is None else time.perf_counter() + timeout
-        upper = upper_bound(g, variant, deadline)
+        deadline = None if timeout is None else start + timeout
+        lb, minor, upper = bounds(g, variant, deadline)
+        bound_s = time.perf_counter() - start
         for m, w in _schedule_pairs(g.n):
             if w <= lb:
                 report = SolveReport(Status.UNSAT, None, 0, 0, 0, bound_s)
@@ -388,7 +487,12 @@ def _run_schedule(
     if last_sat is None:
         raise RuntimeError("the single-node step cannot be unsatisfiable")
     return WidthResult(
-        min_width=last_sat.w, witness=last_sat.witness, trace=trace, variant=variant
+        min_width=last_sat.w,
+        witness=last_sat.witness,
+        trace=trace,
+        variant=variant,
+        lb=lb,
+        ub=None if upper is None else upper[0],
     )
 
 

@@ -1,7 +1,9 @@
 """Minor-min-width lower bound: its certificate checker, and agreement
 with the oracle and with the model's own UNSAT proofs. Greedy upper
 bound: its m-node decompositions, checked by the validator and
-confirmed by the model at every schedule step they cover."""
+confirmed by the model at every schedule step they cover. The stronger
+bounds that ``bounds`` tries while a gap remains: the least-c minor,
+min-fill elimination and the placement from every start vertex."""
 
 from __future__ import annotations
 
@@ -17,6 +19,10 @@ from helpers import (
     star_graph,
 )
 from tdsolve.driver import (
+    _contraction_bound,
+    _elimination_order,
+    _greedy_path_order,
+    bounds,
     decide,
     minor_min_width,
     pathwidth,
@@ -163,3 +169,99 @@ def test_checker_rejects_malformed_sets():
     assert kinds(check_minor_bound(g, [], 1)) == {ViolationKind.MINOR_DEGREE}
     assert ViolationKind.BRANCH_SET in kinds(check_minor_bound(g, [{0}, set()], 0))
     assert ViolationKind.BRANCH_SET in kinds(check_minor_bound(g, [{0}, {7}], 0))
+
+
+def test_stronger_bounds_decide_the_g9_gap_steps():
+    # draws 4 and 5 of this G(9, 1/2) stream: the min-degree pair leaves
+    # a 30k-decision SAT step (w = 5) and a 3.38M-decision UNSAT step
+    # (w = 5) to search; min-fill and least-c decide both without search
+    rng = random.Random(1009)
+    draws = [random_graph(9, 0.5, rng) for _ in range(5)]
+    for g, width in ((draws[3], 5), (draws[4], 6)):
+        assert upper_bound(g, Variant.TREE)[0] - minor_min_width(g)[0] == 2
+        result = treewidth(g)
+        assert result.min_width == width
+        assert result.ub - result.lb == 1
+        assert sum(step.report.decisions for step in result.trace) == 0
+    last = result.trace[-1]
+    assert (last.m, last.w, last.status) == (5, 5, Status.UNSAT)
+    assert last.bound is not None
+
+
+def test_stronger_bounds_are_sound_and_never_weaker():
+    # every labeled graph with n <= 5, 24 seeded G(6-8, p) graphs, and
+    # the first 20 seeded G(8, p) graphs whose cheap pair leaves a gap
+    rng = random.Random(1013)
+    graphs = [g for n in range(1, 6) for g in all_labeled_graphs(n)]
+    graphs += [random_graph(6 + i % 3, (0.3, 0.5, 0.7)[i // 3 % 3], rng) for i in range(24)]
+    gaps = []
+    while len(gaps) < 20:
+        g = random_graph(8, rng.choice((0.3, 0.5, 0.7)), rng)
+        if any(upper_bound(g, v)[0] - minor_min_width(g)[0] >= 2 for v in Variant):
+            gaps.append(g)
+    graphs += gaps
+    checked = improved = 0
+    for g in graphs:
+        width = {Variant.TREE: brute_treewidth(g).width, Variant.PATH: brute_pathwidth(g).width}
+        lb, minor = _contraction_bound(g, True, None)
+        assert lb < width[Variant.TREE], g.edges
+        assert check_minor_bound(g, minor, lb) == [], g.edges
+        orders = [(Variant.TREE, _elimination_order(g, None, min_fill=True))]
+        orders += [(Variant.PATH, _greedy_path_order(g, None, start)) for start in range(g.n)]
+        for variant, (order, bags) in orders:
+            ub = max(b.bit_count() for b in bags)
+            assert sorted(order) == list(range(g.n))
+            assert ub >= width[variant], (g.edges, variant, order)
+            for w in range(ub, g.n + 1):
+                td = smooth_decomposition(variant, order, bags, w)
+                violations = validate(
+                    g, td, expect_m=g.n + 1 - w, expect_w=w, expect_path=variant is Variant.PATH
+                )
+                assert violations == [], (g.edges, variant, order, w, violations)
+                checked += 1
+        for variant in Variant:
+            cheap = minor_min_width(g), upper_bound(g, variant)
+            lb, minor, upper = bounds(g, variant)
+            assert cheap[0][0] <= lb < width[variant] <= upper[0] <= cheap[1][0]
+            if (lb, upper[0]) == (cheap[0][0], cheap[1][0]):
+                # nothing strictly better: the cheap certificate and order
+                assert ((lb, minor), upper) == cheap
+            else:
+                improved += 1
+    assert checked > 20000
+    assert improved > 10
+
+
+def test_bounds_stop_at_the_deadline():
+    g = cycle_graph(6)
+    for variant in Variant:
+        assert bounds(g, variant, deadline=0.0) == (*minor_min_width(g), None)
+    assert _contraction_bound(g, True, 0.0) is None
+    assert _elimination_order(g, 0.0, min_fill=True) is None
+
+
+def test_checker_rejects_altered_least_c_certificates():
+    rng = random.Random(1019)
+    altered = 0
+    for _ in range(30):
+        g = random_graph(8, rng.choice((0.5, 0.7)), rng)
+        lb, minor = _contraction_bound(g, True, None)
+        sets = [set(bs) for bs in minor]
+        assert check_minor_bound(g, sets, lb) == []
+        if lb < 1:
+            continue
+        for i in range(len(sets)):
+            # take a vertex of another set
+            other = min(sets[i - 1])
+            overlapping = sets[:i] + [sets[i] | {other}] + sets[i + 1 :]
+            assert ViolationKind.BRANCH_SET in kinds(check_minor_bound(g, overlapping, lb))
+            altered += 1
+            neighbours = _neighbours(g, sets, i)
+            if len(neighbours) != lb:
+                continue
+            # a set with exactly lb neighbour sets loses its edges to one
+            lost = sets[min(neighbours)]
+            stripped = {v for v in sets[i] if not g.adjacency[v] & lost}
+            assert check_minor_bound(g, sets[:i] + [stripped] + sets[i + 1 :], lb) != []
+            altered += 1
+    assert altered > 100

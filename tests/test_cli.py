@@ -6,7 +6,8 @@ import pytest
 
 from tdsolve import cli, driver
 from tdsolve.cli import main
-from tdsolve.graphio import MAX_VERTICES
+from tdsolve.graphio import MAX_VERTICES, parse_gr
+from tdsolve.model import Variant
 from tdsolve.validator import Violation, ViolationKind
 
 P3_GR = "p tw 3 2\n1 2\n2 3\n"
@@ -205,29 +206,45 @@ def test_bad_search_limits_are_usage_errors(command, flag, value, k3, capsys):
     assert captured.err.startswith(f"error: {flag} must be")
 
 
-# G(6, 1/2) drawn from random.Random(8): its bounds leave step (3, 4)
-# to search (minor-min-width 3, greedy order 5), and that takes 19 decisions
-GAP_GR = "p tw 6 10\n1 2\n1 4\n1 6\n2 3\n2 5\n3 4\n3 5\n3 6\n4 5\n5 6\n"
+# The 11-edge G(7, 1/2) graph of the pw-random-n7 benchmark corpus: even
+# the stronger bounds leave its path step (5, 3) to search (minor-min-width
+# 2, greedy placement 4), and that takes 776 decisions
+GAP_GR = "p tw 7 11\n1 2\n1 6\n1 7\n2 7\n3 5\n3 6\n4 5\n4 7\n5 6\n5 7\n6 7\n"
 
 
-def test_timeout_indeterminate_on_width_command(tmp_path, capsys):
-    g = tmp_path / "g.gr"
-    g.write_text(GAP_GR)
-    assert main(["treewidth", str(g), "--decision-limit", "1"]) == 2
+@pytest.fixture
+def gap(tmp_path):
+    f = tmp_path / "gap.gr"
+    f.write_text(GAP_GR)
+    lb, _, upper = driver.bounds(parse_gr(GAP_GR), Variant.PATH)
+    assert (lb, upper[0]) == (2, 4)
+    return str(f)
+
+
+def test_timeout_indeterminate_on_width_command(gap, capsys):
+    assert main(["pathwidth", gap, "--decision-limit", "1"]) == 2
     assert "INDETERMINATE" in capsys.readouterr().out
 
 
-def test_confirmed_step_line(tmp_path, capsys):
-    g = tmp_path / "g.gr"
-    g.write_text(GAP_GR)
-    assert main(["treewidth", str(g)]) == 0
+def test_confirmed_step_line(gap, capsys):
+    assert main(["pathwidth", gap]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[:2] == ["m=1 w=6 SAT decisions=0 by=order", "m=2 w=5 SAT decisions=0 by=order"]
-    assert lines[2] == "m=3 w=4 SAT decisions=19"
-    assert main(["treewidth", str(g), "--stats"]) == 0
+    assert lines[:2] == ["m=1 w=7 SAT decisions=0 by=order", "m=2 w=6 SAT decisions=0 by=order"]
+    assert lines[3:5] == ["m=4 w=4 SAT decisions=0 by=order", "m=5 w=3 UNSAT decisions=776"]
+    assert main(["pathwidth", gap, "--stats"]) == 0
     line = capsys.readouterr().out.splitlines()[1]
-    assert line.startswith("m=2 w=5 SAT decisions=0 by=order propagations=")
+    assert line.startswith("m=2 w=6 SAT decisions=0 by=order propagations=")
     assert " fails=0 time=" in line
+
+
+def test_stats_prints_the_bounds(gap, capsys):
+    assert main(["pathwidth", gap]) == 0
+    plain = capsys.readouterr().out.splitlines()
+    assert main(["pathwidth", gap, "--stats"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[5:] == ["bounds lb=2 ub=4", "min_width=4", "pathwidth=3"]
+    assert [line.split(" propagations=")[0] for line in lines[:5]] == plain[:5]
+    assert plain[5:] == ["min_width=4", "pathwidth=3"]
 
 
 def test_bound_decided_step_line(p3, capsys):

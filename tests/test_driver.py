@@ -17,11 +17,10 @@ from helpers import (
 )
 from tdsolve.driver import (
     SearchLimitExceeded,
+    bounds,
     decide,
-    minor_min_width,
     pathwidth,
     treewidth,
-    upper_bound,
 )
 from tdsolve.engine import Status
 from tdsolve.graphs import Graph, TreeDecomposition
@@ -150,10 +149,13 @@ def test_duplicate_free_witnesses_respect_node_bound():
 
 
 def test_decision_limit_gives_indeterminate():
-    # the bounds leave step (3, 4) of this graph's schedule to search
-    g = random_graph(6, 0.5, random.Random(8))
-    assert minor_min_width(g)[0] < 4 < upper_bound(g, Variant.TREE)[0]
-    step = decide(g, 3, 4, decision_limit=1)
+    # the fourth G(8, 0.7) draw of random.Random(700): even the stronger
+    # bounds leave step (4, 5) of its schedule to search
+    rng = random.Random(700)
+    g = [random_graph(8, 0.7, rng) for _ in range(4)][-1]
+    lb, _, upper = bounds(g, Variant.TREE)
+    assert (lb, upper[0]) == (4, 6)
+    step = decide(g, 4, 5, decision_limit=1)
     assert step.status is Status.INDETERMINATE
     assert step.witness is None
     with pytest.raises(SearchLimitExceeded) as err:
