@@ -64,6 +64,10 @@ def _step_line(step, stats: bool) -> str:
     return line
 
 
+def _bounds_line(outcome) -> str:
+    return f"bounds lb={outcome.lb} ub={'none' if outcome.ub is None else outcome.ub}"
+
+
 def _write_outputs(args, g, td) -> None:
     if getattr(args, "td_output", None):
         Path(args.td_output).write_text(write_td(td, g))
@@ -122,12 +126,14 @@ def _cmd_width(args, runner, label: str) -> int:
     except (SearchLimitExceeded, ScheduleInterrupted) as exc:
         for step in exc.trace:
             print(_step_line(step, args.stats))
+        if args.stats and exc.lb is not None:
+            print(_bounds_line(exc))
         print("INDETERMINATE")
         return EXIT_INDETERMINATE
     for step in result.trace:
         print(_step_line(step, args.stats))
     if args.stats:
-        print(f"bounds lb={result.lb} ub={'none' if result.ub is None else result.ub}")
+        print(_bounds_line(result))
     print(f"min_width={result.min_width}")
     print(f"{label}={result.min_width - 1}")
     _write_outputs(args, g, result.witness)

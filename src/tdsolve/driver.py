@@ -24,7 +24,9 @@ While ub - lb >= 2 leaves steps to search, ``bounds`` tries stronger
 ones and keeps each only if it is strictly better: the least-c
 contraction rule for lb (Bodlaender, Koster & Wolle 2006), and for ub a
 min-fill elimination order (trees; Bodlaender & Koster 2010) or the
-greedy placement from every start vertex (paths).
+greedy placement from every start vertex (paths). Under a timeout they
+get half of what is left of it when they start, so that the other half
+stays for the confirmations.
 
 The decision and time limits cap searched steps only: those with
 lb < w < ub and, once the timeout (which caps the bounds and the
@@ -43,19 +45,29 @@ from .validator import check_minor_bound, validate
 
 
 class SearchLimitExceeded(RuntimeError):
-    """A decision or time cap was hit before the schedule could finish."""
+    """A decision or time cap was hit before the schedule could finish.
+    ``lb`` and ``ub`` are the schedule's bounds, as in ``WidthResult``."""
 
-    def __init__(self, step: "ScheduleStep", trace: list["ScheduleStep"]):
+    def __init__(
+        self, step: "ScheduleStep", trace: list["ScheduleStep"], lb: int, ub: int | None
+    ):
         self.step = step
         self.trace = trace
+        self.lb = lb
+        self.ub = ub
         super().__init__(f"step (m={step.m}, w={step.w}) hit its search limit")
 
 
 class ScheduleInterrupted(KeyboardInterrupt):
-    """Ctrl-C arrived during a schedule; ``trace`` holds the finished steps."""
+    """Ctrl-C arrived during a schedule; ``trace`` holds the finished steps.
+    ``lb`` and ``ub`` are the schedule's bounds, or None if it had not
+    finished computing them (``ub`` is also None when the order ran out
+    of time)."""
 
-    def __init__(self, trace: list["ScheduleStep"]):
+    def __init__(self, trace: list["ScheduleStep"], lb: int | None, ub: int | None):
         self.trace = trace
+        self.lb = lb
+        self.ub = ub
         super().__init__("schedule interrupted")
 
 
@@ -379,9 +391,11 @@ def bounds(
 
     While ub - lb >= 2 leaves a step to search, it also tries the
     least-c rule for lb and ``_other_orders`` for ub, and keeps a bound
-    only if it is strictly better; these tries stop at ``deadline``, as
-    the greedy order does. The kept minor is checked once by
-    ``check_minor_bound``; a rejection raises RuntimeError.
+    only if it is strictly better. The greedy order stops at
+    ``deadline``; these tries stop once half the time left when they
+    start has passed, so that the rest stays for the confirmations. The
+    kept minor is checked once by ``check_minor_bound``; a rejection
+    raises RuntimeError.
     """
     lb, minor = minor_min_width(g)
     upper = upper_bound(g, variant, deadline)
@@ -389,6 +403,9 @@ def bounds(
     def gap() -> bool:
         return upper is not None and upper[0] - lb >= 2
 
+    if gap() and deadline is not None:
+        now = time.perf_counter()
+        deadline = now + (deadline - now) / 2
     if gap():
         found = _contraction_bound(g, True, deadline)
         if found is not None and found[0] > lb:
@@ -448,12 +465,14 @@ def _run_schedule(
     if g.n < 1:
         raise ValueError("the schedule needs a graph with at least one vertex")
     trace: list[ScheduleStep] = []
+    lb = ub = None
     try:
         start = time.perf_counter()
         # A timeout also caps the bounds and the confirmations: past it,
         # the steps are searched, each under its own cap.
         deadline = None if timeout is None else start + timeout
         lb, minor, upper = bounds(g, variant, deadline)
+        ub = None if upper is None else upper[0]
         bound_s = time.perf_counter() - start
         for m, w in _schedule_pairs(g.n):
             if w <= lb:
@@ -461,7 +480,7 @@ def _run_schedule(
                 trace.append(ScheduleStep(m, w, Status.UNSAT, report, None, bound=minor))
                 break
             confirm = None
-            if upper is not None and w >= upper[0] and not _out_of_time(deadline):
+            if ub is not None and w >= ub and not _out_of_time(deadline):
                 confirm = smooth_decomposition(variant, upper[1], upper[2], w)
             step = decide(
                 g,
@@ -476,9 +495,9 @@ def _run_schedule(
             if step.status is Status.UNSAT:
                 break
             if step.status is Status.INDETERMINATE:
-                raise SearchLimitExceeded(step, trace)
+                raise SearchLimitExceeded(step, trace, lb, ub)
     except KeyboardInterrupt:
-        raise ScheduleInterrupted(trace) from None
+        raise ScheduleInterrupted(trace, lb, ub) from None
 
     last_sat = None
     for step in trace:
@@ -492,7 +511,7 @@ def _run_schedule(
         trace=trace,
         variant=variant,
         lb=lb,
-        ub=None if upper is None else upper[0],
+        ub=ub,
     )
 
 

@@ -321,20 +321,23 @@ class Solver:
 
     def solve(
         self,
-        decision_vars: Optional[list[IntVar]] = None,
+        decision_vars: Optional[list[IntVar | SetVar]] = None,
         decision_limit: Optional[int] = None,
         timeout: Optional[float] = None,
     ) -> SolveReport:
         """Depth-first search with propagation to fixpoint at every node.
 
-        Branches on the decision variables first (the unfixed one with
-        the smallest domain, ties by position, values ascending); once
-        they are all fixed, branches on set membership (include before
-        exclude, lowest variable and element first) until every
-        variable is fixed. Returns the first full assignment, or UNSAT
-        after exhausting the tree, or INDETERMINATE when a limit is hit.
-        To confirm a known assignment instead of searching, use
-        ``check``.
+        Branches on the decision variables first. An integer one offers
+        its values ascending; a set one offers each undecided element as
+        a 0/1 choice, exclusion first, which ranks like a domain of two
+        values. The choice with the smallest domain goes first, ties by
+        position; among the set elements, the lowest element goes first,
+        in the first set where it is undecided. Once they are all fixed,
+        it branches on set membership (include before exclude, lowest
+        variable and element first) until every variable is fixed.
+        Returns the first full assignment, or UNSAT after exhausting the
+        tree, or INDETERMINATE when a limit is hit. To confirm a known
+        assignment instead of searching, use ``check``.
         """
         dvars = list(self.int_vars) if decision_vars is None else list(decision_vars)
         self.decisions = 0
@@ -387,15 +390,25 @@ class Solver:
             if not descended:
                 return report(Status.UNSAT)
 
-    def _branch(self, dvars: list[IntVar]):
+    def _branch(self, dvars: list[IntVar | SetVar]):
         """Alternatives at this node, or None when everything is fixed."""
         chosen = None
         best_size = None
+        open_elements = 0  # undecided in some decision set
         for var in dvars:
-            size = var.size()
+            if type(var) is SetVar:
+                open_elements |= var.possible & ~var.required
+                continue
+            size = var.mask.bit_count()
             if size > 1 and (best_size is None or size < best_size):
                 chosen = var
                 best_size = size
+        if open_elements and best_size != 2:
+            low = open_elements & -open_elements
+            e = low.bit_length() - 1
+            for var in dvars:
+                if type(var) is SetVar and var.possible & ~var.required & low:
+                    return [("out", var, e), ("in", var, e)]
         if chosen is None:
             for svar in self.set_vars:
                 undecided = svar.undecided()

@@ -1,18 +1,20 @@
 """Compile one decision instance (graph, node count m, width bound w)
 into engine variables and propagators, and decode solved instances.
 
-Variables per instance: one set variable per decomposition node, parent
-and depth integers per node, and one 0/1 location variable per (edge,
-node) pair. The unary facts are part of the initial domains: node 0 is
-the root at depth 0, no node is its own parent, and on a path node i
-hangs from node i - 1. One running-intersection propagator per child
-node covers every other node, reading the vertices two nodes share
-straight from their set variables. It also keeps the child one level
-below its parent, so that the depths it guards on are those of the
-rooted tree. Symmetry breaking orders node sets lexicographically on
-their membership vectors, vertex 0 first: every consecutive pair for
-free-form trees, first against last for path-shaped instances (whose
-only node symmetry is reversal).
+Variables per instance: per decomposition node, a set variable over the
+vertices, a set variable over the edge indices (the edges the node
+holds), and parent and depth integers. One channel per node ties its
+edge set to its vertex set, and one union over the edge sets places
+every edge in some node. The unary facts are part of the initial
+domains: node 0 is the root at depth 0, no node is its own parent, and
+on a path node i hangs from node i - 1. One running-intersection
+propagator per child node covers every other node, reading the
+vertices two nodes share straight from their set variables. It also
+keeps the child one level below its parent, so that the depths it
+guards on are those of the rooted tree. Symmetry breaking orders node
+sets lexicographically on their membership vectors, vertex 0 first:
+every consecutive pair for free-form trees, first against last for
+path-shaped instances (whose only node symmetry is reversal).
 """
 
 from __future__ import annotations
@@ -40,8 +42,8 @@ class ModelInstance:
     node_sets: list[SetVar]
     parents: list[IntVar]
     depths: list[IntVar]
-    locations: list[IntVar]  # flattened, edge-major then node index
-    decision_vars: list[IntVar]
+    edge_sets: list[SetVar]  # per node, over the indices of g.edges
+    decision_vars: list[IntVar | SetVar]
 
 
 def build_model(
@@ -55,8 +57,8 @@ def build_model(
 
     Asks: does g have a decomposition with exactly m nodes, each of
     cardinality at most w (a path-shaped one for the PATH variant)?
-    Decision variables are the parent variables followed by the
-    flattened location variables.
+    Decision variables are the parent variables followed by the edge
+    sets, whose elements the search takes edge by edge, nodes ascending.
     """
     if m < 1:
         raise ValueError(f"node count must be positive, got {m}")
@@ -81,15 +83,11 @@ def build_model(
         solver.post(props.CardinalityAtMost(x, w))
     solver.post(props.UnionEquals(node_sets, (1 << g.n) - 1))
 
-    locations: list[IntVar] = []
-    for u, v in g.edges:
-        row = []
-        for k in range(m):
-            bit = solver.int_var(0, 1, f"loc{u}_{v}_{k}")
-            row.append(bit)
-            locations.append(bit)
-            solver.post(props.EdgeInNode(bit, u, v, node_sets[k]))
-        solver.post(props.AtLeastOne(row))
+    ends, incident = props.incidence(g.n, g.edges)
+    edge_sets = [solver.set_var(len(g.edges), f"edges{k}") for k in range(m)]
+    for x, edge_set in zip(node_sets, edge_sets):
+        solver.post(props.EdgeInNode(x, edge_set, ends, incident))
+    solver.post(props.UnionEquals(edge_sets, (1 << len(g.edges)) - 1))
 
     # The root needs none: its parent is itself, which holds everything
     # it shares with any node.
@@ -115,8 +113,8 @@ def build_model(
         node_sets=node_sets,
         parents=parents,
         depths=depths,
-        locations=locations,
-        decision_vars=parents + locations,
+        edge_sets=edge_sets,
+        decision_vars=parents + edge_sets,
     )
 
 
@@ -131,14 +129,14 @@ def extract_decomposition(mi: ModelInstance, witness: dict) -> TreeDecomposition
 
 
 def encode_decomposition(mi: ModelInstance, td: TreeDecomposition) -> dict:
-    """The assignment of mi's node sets, parents and location bits that
+    """The assignment of mi's node sets, parents and edge sets that
     spells out td, with set values as membership masks: the inverse of
     extract_decomposition. The depths are left out; once the parents are
     fixed, propagation fixes them.
 
     A tree's nodes are sorted into the LexLeq order and the tree is
     re-rooted at the first; a path, given in path order from node 0,
-    is reversed if LexLeq of its two ends needs it. Location bits follow
+    is reversed if LexLeq of its two ends needs it. Edge sets follow
     from the result. Raises ValueError unless td has exactly mi.m nodes.
     """
     if td.m != mi.m:
@@ -162,6 +160,9 @@ def encode_decomposition(mi: ModelInstance, td: TreeDecomposition) -> dict:
 
     values: dict = dict(zip(mi.node_sets, masks))
     values.update(zip(mi.parents, parent))
-    pairs = [1 << u | 1 << v for u, v in mi.g.edges]
-    values.update(zip(mi.locations, [int(m & uv == uv) for uv in pairs for m in masks]))
+    ends = [1 << u | 1 << v for u, v in mi.g.edges]
+    values.update(
+        (x, sum(1 << e for e, uv in enumerate(ends) if mask & uv == uv))
+        for x, mask in zip(mi.edge_sets, masks)
+    )
     return values

@@ -5,6 +5,10 @@ carries a ``satisfied`` method that evaluates the constraint directly on
 a full assignment (used to audit witnesses without going through the
 filtering code). ``RunningIntersection`` also keeps each child one
 level below its parent: the depth variables serve only its guard.
+Where an edge lies is a set variable per node over the edge indices:
+``EdgeInNode`` ties it to the node's vertex set with whole-mask rules,
+and one ``UnionEquals`` over the edge sets places every edge (subset
+bounds for sets: Gervet, Constraints 1997).
 """
 
 from __future__ import annotations
@@ -52,26 +56,21 @@ class UnionEquals(Propagator):
 
     def propagate(self) -> None:
         req_union = 0
-        pos_union = 0
+        once = 0  # possible in at least one set
+        twice = 0  # possible in at least two
         for x in self.xs:
+            possible = x.possible
+            twice |= once & possible
+            once |= possible
             req_union |= x.required
-            pos_union |= x.possible
-        if self.universe & ~pos_union:
+        if self.universe & ~once:
             raise Inconsistent
-        remaining = self.universe & ~req_union
-        while remaining:
-            low = remaining & -remaining
-            remaining ^= low
-            holder = None
-            supports = 0
+        # uncovered elements with a single support must go to it
+        single = self.universe & ~twice & ~req_union
+        if single:
             for x in self.xs:
-                if x.possible & low:
-                    holder = x
-                    supports += 1
-                    if supports > 1:
-                        break
-            if supports == 1:
-                holder.require_mask(low)
+                if x.possible & single:
+                    x.require_mask(x.possible & single)
 
     def satisfied(self, value_of) -> bool:
         acc = set()
@@ -80,65 +79,87 @@ class UnionEquals(Propagator):
         return acc == set(bits_of(self.universe))
 
 
-class EdgeInNode(Propagator):
-    """bit == 1 <=> both endpoints of the edge are in the node."""
-
-    __slots__ = ("bit", "u", "v", "node", "uv_mask")
-
-    def __init__(self, bit: IntVar, u: int, v: int, node: SetVar):
+def incidence(n: int, edges: list[tuple[int, int]]) -> tuple[list[int], list[int]]:
+    """The masks ``EdgeInNode`` reads, for a graph on vertices 0..n-1:
+    the endpoints of each edge, and the indices of the edges at each
+    vertex."""
+    ends = [1 << u | 1 << v for u, v in edges]
+    incident = [0] * n
+    for e, (u, v) in enumerate(edges):
         if u == v:
             raise ValueError("self-loops are not representable")
-        super().__init__([bit, node])
-        self.bit = bit
-        self.u = u
-        self.v = v
+        incident[u] |= 1 << e
+        incident[v] |= 1 << e
+    return ends, incident
+
+
+class EdgeInNode(Propagator):
+    """Edge e is in the node's edge set <=> both endpoints of e are in
+    its vertex set, for every edge e of the graph that ``incidence``
+    describes. Reads and prunes whole masks: an edge with an endpoint
+    the node cannot hold leaves the edge set, and one whose endpoints
+    the node both requires joins it; an edge the edge set requires puts
+    its endpoints into the node, and one it excludes keeps the other
+    endpoint of a required one out."""
+
+    __slots__ = ("node", "edge_set", "ends", "incident")
+
+    def __init__(self, node: SetVar, edge_set: SetVar, ends: list[int], incident: list[int]):
+        super().__init__([node, edge_set])
         self.node = node
-        self.uv_mask = (1 << u) | (1 << v)
+        self.edge_set = edge_set
+        self.ends = ends
+        self.incident = incident
 
     def propagate(self) -> None:
-        bit, node = self.bit, self.node
-        if bit.mask == 0b10:
-            node.require_mask(self.uv_mask)
-        elif bit.mask == 0b01:
-            if node.required >> self.u & 1:
-                node.exclude(self.v)
-            if node.required >> self.v & 1:
-                node.exclude(self.u)
-        if self.uv_mask & ~node.possible:
-            bit.assign(0)
-        elif self.uv_mask & ~node.required == 0:
-            bit.assign(1)
+        node, edge_set = self.node, self.edge_set
+        incident = self.incident
+        taken = edge_set.required
+        if taken:
+            # the endpoints of the required edges
+            need = 0
+            rest = node.universe & ~node.required
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                if incident[low.bit_length() - 1] & taken:
+                    need |= low
+            node.require_mask(need)
+        inside = node.required
+        within = 0  # edges with both endpoints required
+        touched = 0  # edges with an endpoint required
+        rest = inside
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            at_v = incident[low.bit_length() - 1]
+            within |= at_v & touched
+            touched |= at_v
+        # an excluded edge at a required vertex keeps its other end out
+        cut = touched & ~edge_set.possible
+        if cut:
+            forbid = 0
+            rest = node.possible & ~inside
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                if incident[low.bit_length() - 1] & cut:
+                    forbid |= low
+            node.restrict(~forbid)
+        # an endpoint the node cannot hold keeps the edge out
+        drop = 0
+        rest = node.universe & ~node.possible
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            drop |= incident[low.bit_length() - 1]
+        edge_set.restrict(~drop)
+        edge_set.require_mask(within)
 
     def satisfied(self, value_of) -> bool:
-        inside = {self.u, self.v} <= value_of(self.node)
-        return (value_of(self.bit) == 1) == inside
-
-
-class AtLeastOne(Propagator):
-    """At least one of the 0/1 variables is 1."""
-
-    __slots__ = ("bits",)
-
-    def __init__(self, bits: list[IntVar]):
-        super().__init__(bits)
-        self.bits = list(bits)
-
-    def propagate(self) -> None:
-        last_open = None
-        open_count = 0
-        for b in self.bits:
-            if b.mask == 0b10:
-                return
-            if b.mask == 0b11:
-                last_open = b
-                open_count += 1
-        if open_count == 0:
-            raise Inconsistent
-        if open_count == 1:
-            last_open.assign(1)
-
-    def satisfied(self, value_of) -> bool:
-        return any(value_of(b) == 1 for b in self.bits)
+        members = value_of(self.node)
+        inside = {e for e, uv in enumerate(self.ends) if set(bits_of(uv)) <= members}
+        return value_of(self.edge_set) == inside
 
 
 class RunningIntersection(Propagator):

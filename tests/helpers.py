@@ -157,12 +157,12 @@ def random_constraint_instance(rng: random.Random) -> Solver:
     """A solver with one random propagator over small random domains;
     cycles through every propagator kind."""
     from tdsolve.propagators import (
-        AtLeastOne,
         CardinalityAtMost,
         EdgeInNode,
         LexLeq,
         RunningIntersection,
         UnionEquals,
+        incidence,
     )
 
     s = Solver()
@@ -179,14 +179,19 @@ def random_constraint_instance(rng: random.Random) -> Solver:
             universe |= x.possible
         s.post(UnionEquals(xs, universe))
     elif kind == 2:
-        b = s.int_var(0, 1)
-        x = s.set_var(4)
+        # one node's vertex set and edge set over a random small graph
+        n = rng.randint(3, 4)
+        edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.6]
+        x = s.set_var(n)
+        edge_set = s.set_var(len(edges))
         tighten_randomly(s, rng)
-        s.post(EdgeInNode(b, 0, 2, x))
+        s.post(EdgeInNode(x, edge_set, *incidence(n, edges)))
     elif kind == 3:
-        bits = [s.int_var(0, 1) for _ in range(rng.randint(1, 4))]
+        # the edge sets of a few nodes, which must hold every edge
+        size = rng.randint(1, 4)
+        edge_sets = [s.set_var(size) for _ in range(rng.randint(1, 3))]
         tighten_randomly(s, rng)
-        s.post(AtLeastOne(bits))
+        s.post(UnionEquals(edge_sets, (1 << size) - 1))
     elif kind == 4:
         # deeper trees than kind 5, with one-vertex sets: the depth rule
         size = rng.randint(2, 4)

@@ -247,6 +247,16 @@ def test_stats_prints_the_bounds(gap, capsys):
     assert plain[5:] == ["min_width=4", "pathwidth=3"]
 
 
+def test_stats_prints_the_bounds_of_an_unfinished_schedule(gap, capsys):
+    assert main(["pathwidth", gap, "--decision-limit", "1"]) == 2
+    plain = capsys.readouterr().out.splitlines()
+    assert main(["pathwidth", gap, "--decision-limit", "1", "--stats"]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-2:] == ["bounds lb=2 ub=4", "INDETERMINATE"]
+    assert [line.split(" propagations=")[0] for line in lines[:-2]] == plain[:-1]
+    assert plain[-2:] == ["m=5 w=3 INDETERMINATE decisions=1", "INDETERMINATE"]
+
+
 def test_bound_decided_step_line(p3, capsys):
     assert main(["treewidth", p3]) == 0
     assert capsys.readouterr().out.splitlines()[2] == "m=3 w=1 UNSAT decisions=0 by=bound"

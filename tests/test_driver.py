@@ -15,7 +15,9 @@ from helpers import (
     path_graph,
     random_graph,
 )
+from tdsolve import driver
 from tdsolve.driver import (
+    ScheduleInterrupted,
     SearchLimitExceeded,
     bounds,
     decide,
@@ -162,6 +164,23 @@ def test_decision_limit_gives_indeterminate():
         treewidth(g, decision_limit=1)
     assert err.value.step.status is Status.INDETERMINATE
     assert err.value.trace[-1] is err.value.step
+    assert (err.value.lb, err.value.ub) == (4, 6)
+
+
+def test_interrupt_carries_the_bounds_once_known(monkeypatch):
+    g = cycle_graph(5)
+
+    def interrupt(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(driver, "decide", interrupt)
+    with pytest.raises(ScheduleInterrupted) as err:
+        treewidth(g)
+    assert (err.value.trace, err.value.lb, err.value.ub) == ([], 2, 3)
+    monkeypatch.setattr(driver, "upper_bound", interrupt)
+    with pytest.raises(ScheduleInterrupted) as err:
+        pathwidth(g)
+    assert (err.value.trace, err.value.lb, err.value.ub) == ([], None, None)
 
 
 def test_confirm_rejects_a_broken_decomposition():
@@ -195,6 +214,22 @@ def test_timeout_caps_a_large_graph():
             run(g, timeout=0.5)
         assert time.perf_counter() - start < 1.8
         assert err.value.step.status is Status.INDETERMINATE
+
+
+def test_timeout_leaves_the_confirmations_part_of_the_budget():
+    # the graph of test_timeout_caps_a_large_graph: the stronger bounds
+    # would fill the whole timeout, but take at most half of what is left
+    # once the greedy bounds are done, so the first steps still dive
+    rng = random.Random(7)
+    edges = set()
+    while len(edges) < 5000:
+        u, v = sorted(rng.sample(range(1000), 2))
+        edges.add((u, v))
+    g = Graph.from_edges(1000, edges)
+    with pytest.raises(SearchLimitExceeded) as err:
+        pathwidth(g, timeout=0.5)
+    assert err.value.trace[0].confirmed
+    assert err.value.ub is not None and err.value.lb < err.value.ub
 
 
 def test_rejects_empty_graph():

@@ -8,7 +8,7 @@ import pytest
 
 from helpers import snapshot, solutions_within, tighten_randomly
 from tdsolve.engine import Propagator, Solver, Status, bits_of
-from tdsolve.propagators import AtLeastOne, CardinalityAtMost, UnionEquals
+from tdsolve.propagators import CardinalityAtMost, UnionEquals
 
 
 class Implies(Propagator):
@@ -64,9 +64,9 @@ def test_search_single_free_variable():
 
 def test_search_wipeout_is_unsat():
     s = Solver()
-    x = s.int_var(0, 1)
-    x.assign(0)
-    s.post(AtLeastOne([x]))
+    x = s.set_var(1)
+    x.exclude(0)
+    s.post(UnionEquals([x], 0b1))
     report = s.solve()
     assert report.status is Status.UNSAT
     assert report.decisions == 0 and report.fails == 1
@@ -83,12 +83,13 @@ def test_search_fixes_set_vars_through_fallback():
 
 def test_witness_satisfies_all_constraints():
     s = Solver()
-    a = s.int_var(0, 1)
-    b = s.int_var(0, 1)
-    c = s.int_var(0, 1)
-    s.post(AtLeastOne([a, b, c]))
-    a.remove(1)
-    report = s.solve()
+    a = s.set_var(2)
+    b = s.set_var(2)
+    c = s.set_var(2)
+    s.post(UnionEquals([a, b, c], 0b11))
+    s.post(CardinalityAtMost(b, 1))
+    a.restrict(0b10)
+    report = s.solve(decision_vars=[a, b, c])
     assert report.status is Status.SAT
     assert s.check_witness(report.witness)
 
@@ -105,6 +106,39 @@ def test_min_domain_ties_break_by_position():
     assert report.status is Status.SAT
     assert report.witness[x] == 0 and report.witness[y] == 0
     assert report.decisions == 1
+
+
+def _dive(s, dvars):
+    """The first alternative of every branch down to a full assignment."""
+    taken = []
+    while (alternatives := s._branch(dvars)) is not None:
+        op, var, v = alternatives[0]
+        taken.append((op, var.name, v, len(alternatives)))
+        s._apply(alternatives[0])
+        assert s.propagate()
+    return taken
+
+
+def test_decision_set_elements_rank_between_two_and_more_values():
+    # every undecided element of a decision set is a 0/1 choice: after
+    # an integer of two values, before one of three; the lowest element
+    # first, in the first set where it is undecided, exclusion first
+    s = Solver()
+    three = s.int_var(0, 2, "three")
+    a = s.set_var(3, "a")
+    b = s.set_var(3, "b")
+    two = s.int_var(0, 1, "two")
+    a.exclude(0)
+    b.include(2)
+    assert _dive(s, [three, a, b, two]) == [
+        ("=", "two", 0, 2),
+        ("out", "b", 0, 2),
+        ("out", "a", 1, 2),
+        ("out", "b", 1, 2),
+        ("out", "a", 2, 2),
+        ("=", "three", 0, 3),
+    ]
+    assert (a.required, a.possible, b.required, b.possible) == (0, 0, 0b100, 0b100)
 
 
 def test_decision_limit_returns_indeterminate():
@@ -135,7 +169,7 @@ def _random_micro_model(rng):
     tighten_randomly(s, rng)
     bits = [v for v in ints if v.mask & ~0b11 == 0]
     if len(bits) >= 2 and rng.random() < 0.7:
-        s.post(AtLeastOne(bits))
+        s.post(Implies(bits[0], bits[1]))
     if rng.random() < 0.7:
         s.post(CardinalityAtMost(sets[0], rng.randint(0, 2)))
     if len(sets) >= 2 and rng.random() < 0.5:

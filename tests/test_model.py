@@ -29,16 +29,16 @@ def lex_count(mi):
 def test_variable_counts_k3():
     mi = build_model(complete_graph(3), m=1, w=3)
     assert len(mi.node_sets) == 1
-    assert len(mi.locations) == 3  # 3 edges x 1 node
-    assert len(mi.solver.set_vars) == 1
+    assert [x.universe for x in mi.edge_sets] == [0b111]  # 3 edges, 1 node
+    assert len(mi.solver.set_vars) == 2
     assert lex_count(mi) == 0
 
 
 def test_variable_counts_c4():
     mi = build_model(cycle_graph(4), m=3, w=2)
     assert len(mi.node_sets) == 3
-    assert len(mi.locations) == 12  # 4 edges x 3 nodes
-    assert len(mi.solver.set_vars) == 3
+    assert [x.universe for x in mi.edge_sets] == [0b1111] * 3  # 4 edges, 3 nodes
+    assert len(mi.solver.set_vars) == 6
     assert lex_count(mi) == 2
 
 
@@ -46,14 +46,15 @@ def test_variable_counts_c4():
 def test_size_formulas(m):
     g = random_graph(5, 0.5, random.Random(m))
     mi = build_model(g, m=m, w=3)
-    assert len(mi.node_sets) == m
-    assert len(mi.locations) == g.edge_count * m
-    assert len(mi.solver.set_vars) == m
+    assert len(mi.node_sets) == len(mi.edge_sets) == m
+    assert len(mi.solver.set_vars) == 2 * m
+    assert len(mi.solver.int_vars) == 2 * m  # parents and depths
     assert lex_count(mi) == m - 1
-    # per node: cardinality; per child node: running intersection, lex;
-    # per edge: one location per node plus at-least-one; and the union
-    assert len(mi.solver.propagators) == m + 2 * (m - 1) + g.edge_count * (m + 1) + 1
-    assert mi.decision_vars == mi.parents + mi.locations
+    # per node: cardinality and the edge channel; per child node:
+    # running intersection, lex; the union of the node sets and the
+    # union of the edge sets
+    assert len(mi.solver.propagators) == 2 * m + 2 * (m - 1) + 2
+    assert mi.decision_vars == mi.parents + mi.edge_sets
 
 
 def test_path_variant_lex_is_reversal_only():

@@ -15,12 +15,12 @@ from helpers import (
 )
 from tdsolve.engine import Solver
 from tdsolve.propagators import (
-    AtLeastOne,
     CardinalityAtMost,
     EdgeInNode,
     LexLeq,
     RunningIntersection,
     UnionEquals,
+    incidence,
 )
 
 
@@ -75,55 +75,104 @@ def test_union_two_supports_no_change():
     assert xs[0].required == 0 and xs[1].required == 0
 
 
-def test_edge_in_node_channels_both_ways():
+# the path 0-1-2-3 plus the chord 0-2: edges 0 (0,1), 1 (0,2), 2 (1,2), 3 (2,3)
+CHANNEL_EDGES = [(0, 1), (0, 2), (1, 2), (2, 3)]
+
+
+def _channel():
     s = Solver()
-    b = s.int_var(0, 1)
     x = s.set_var(4)
-    s.post(EdgeInNode(b, 0, 2, x))
-    b.assign(1)
-    assert s.propagate()
-    assert x.required & 0b101 == 0b101
+    edge_set = s.set_var(len(CHANNEL_EDGES))
+    return s, x, edge_set, EdgeInNode(x, edge_set, *incidence(4, CHANNEL_EDGES))
 
-    s2 = Solver()
-    b2 = s2.int_var(0, 1)
-    x2 = s2.set_var(4)
-    x2.exclude(0)
-    s2.post(EdgeInNode(b2, 0, 2, x2))
+
+def test_incidence_masks():
+    ends, incident = incidence(4, CHANNEL_EDGES)
+    assert ends == [0b0011, 0b0101, 0b0110, 0b1100]
+    assert incident == [0b0011, 0b0101, 0b1110, 0b1000]
+    with pytest.raises(ValueError):
+        incidence(2, [(1, 1)])
+
+
+def test_edge_in_node_drops_edges_at_impossible_vertices():
+    s, x, edge_set, prop = _channel()
+    x.exclude(2)
+    s.post(prop)
+    assert s.propagate()
+    assert edge_set.possible == 0b0001 and edge_set.required == 0
+    assert x.required == 0
+
+
+def test_edge_in_node_channels_both_ways():
+    # required vertices 0, 1, 2 take the edges among them
+    s, x, edge_set, prop = _channel()
+    x.require_mask(0b0111)
+    s.post(prop)
+    assert s.propagate()
+    assert edge_set.required == 0b0111 and edge_set.undecided() == 0b1000
+
+    # a required edge (2, 3) takes its ends, and decides nothing else
+    s2, x2, edge_set2, prop2 = _channel()
+    edge_set2.include(3)
+    s2.post(prop2)
     assert s2.propagate()
-    assert b2.value() == 0
-
-    s3 = Solver()
-    b3 = s3.int_var(0, 1)
-    x3 = s3.set_var(4)
-    x3.include(0)
-    b3.assign(0)
-    s3.post(EdgeInNode(b3, 0, 2, x3))
-    assert s3.propagate()
-    assert not x3.possible >> 2 & 1
+    assert x2.required == 0b1100
+    assert edge_set2.required == 0b1000 and edge_set2.undecided() == 0b0111
 
 
-def test_at_least_one():
-    s = Solver()
-    bits = [s.int_var(0, 1) for _ in range(3)]
-    bits[0].assign(0)
-    bits[1].assign(0)
-    s.post(AtLeastOne(bits))
+def test_edge_in_node_excluded_edge_keeps_the_other_end_out():
+    s, x, edge_set, prop = _channel()
+    edge_set.exclude(1)  # edge (0, 2)
+    edge_set.exclude(2)  # edge (1, 2)
+    x.include(2)
+    s.post(prop)
     assert s.propagate()
-    assert bits[2].value() == 1
+    assert x.possible == 0b1100
+    # vertices 0 and 1 are out, so edge (0, 1) is too
+    assert edge_set.possible == 0b1000
+
+
+def test_edge_in_node_fails_on_an_excluded_edge_within_the_node():
+    s, x, edge_set, prop = _channel()
+    edge_set.exclude(0)
+    x.require_mask(0b0011)
+    s.post(prop)
+    assert not s.propagate()
+
+
+def test_edge_in_node_satisfied_reads_both_sets():
+    _, x, edge_set, prop = _channel()
+    value = {x: frozenset({0, 1, 2})}
+    assert prop.satisfied({**value, edge_set: frozenset({0, 1, 2})}.__getitem__)
+    assert not prop.satisfied({**value, edge_set: frozenset({0, 1})}.__getitem__)
+    assert not prop.satisfied({**value, edge_set: frozenset({0, 1, 2, 3})}.__getitem__)
+
+
+def test_union_of_edge_sets_places_every_edge():
+    # three nodes' edge sets over two edges: edge 0 is left to node 2
+    s = Solver()
+    edge_sets = [s.set_var(2) for _ in range(3)]
+    edge_sets[0].exclude(0)
+    edge_sets[1].exclude(0)
+    s.post(UnionEquals(edge_sets, 0b11))
+    assert s.propagate()
+    assert edge_sets[2].required == 0b01
+    assert [x.required for x in edge_sets[:2]] == [0, 0]
 
     s2 = Solver()
-    bits2 = [s2.int_var(0, 1) for _ in range(3)]
-    for b in bits2:
-        b.assign(0)
-    s2.post(AtLeastOne(bits2))
+    edge_sets2 = [s2.set_var(2) for _ in range(3)]
+    for x in edge_sets2:
+        x.exclude(1)
+    s2.post(UnionEquals(edge_sets2, 0b11))
     assert not s2.propagate()
 
+    # a node that holds edge 0 leaves the others open
     s3 = Solver()
-    bits3 = [s3.int_var(0, 1) for _ in range(2)]
-    bits3[0].assign(1)
-    s3.post(AtLeastOne(bits3))
+    edge_sets3 = [s3.set_var(1) for _ in range(2)]
+    edge_sets3[0].include(0)
+    s3.post(UnionEquals(edge_sets3, 0b1))
     assert s3.propagate()
-    assert not bits3[1].is_fixed()
+    assert not edge_sets3[1].is_fixed()
 
 
 def _running_intersection_setup(size=3):

@@ -167,6 +167,28 @@ def test_search_tree_is_pinned(problem, index):
     assert [s.bound for s in trace] == [minor if s.w <= lb else None for s in trace]
 
 
+# Searched path steps between the bounds, on nine-vertex graphs too:
+# (n, edges, m, w, status, decisions, fails). The first is the gap step
+# of test_cli's GAP_GR; the second is draw 14 of G(9, 0.3) from
+# random.Random(903) (0-based).
+PINNED_STEPS = [
+    (
+        7,
+        [(0, 1), (0, 5), (0, 6), (1, 6), (2, 4), (2, 5), (3, 4), (3, 6), (4, 5), (4, 6),
+         (5, 6)],
+        5, 3, 'UNSAT', 776, 389,
+    ),
+    (9, [(0, 8), (1, 6), (2, 4), (2, 6), (2, 7), (3, 4), (5, 7)], 8, 2, 'UNSAT', 6056, 3029),
+]
+
+
+@pytest.mark.parametrize("index", range(len(PINNED_STEPS)))
+def test_searched_path_steps_are_pinned(index):
+    n, edges, m, w, *expected = PINNED_STEPS[index]
+    step = decide(Graph.from_edges(n, edges), m, w, variant=Variant.PATH)
+    assert [step.status.value, step.report.decisions, step.report.fails] == expected
+
+
 # sha256 of write_td(witness, g) per PINNED graph: (treewidth, pathwidth)
 PINNED_TD_SHA256 = [
     ('4fe8be53129aac12547574222fba4ad49088f62bded52b3239cb04797b3f91ce',
