@@ -31,6 +31,14 @@ stays for the confirmations.
 The decision and time limits cap searched steps only: those with
 lb < w < ub and, once the timeout (which caps the bounds and the
 confirmations together) has passed, every later one.
+
+A searched step asks the model for a smooth decomposition: every node
+of exactly w vertices, each child with exactly one vertex its parent
+lacks. Since m + w = n + 1 at every step, g has a decomposition with m
+nodes of at most w vertices iff it has a smooth one (Bodlaender 1996),
+so the step's status does not change, and the smooth constraints cut
+the search. A confirmed step stays on the bare model, because the
+order's decomposition may have nodes of fewer than w vertices.
 """
 
 from __future__ import annotations
@@ -130,6 +138,7 @@ def decide(
     decision_limit: int | None = None,
     timeout: float | None = None,
     confirm: TreeDecomposition | None = None,
+    smooth: bool = False,
 ) -> ScheduleStep:
     """Solve one decision instance; SAT steps carry a validated witness.
 
@@ -138,9 +147,13 @@ def decide(
     vertices (in path order for PATH), the model checks that
     decomposition by one propagation instead (``Solver.check``): the
     step is SAT with no decision or fail, and the limits do not apply.
-    A decomposition the model rejects raises RuntimeError.
+    A decomposition the model rejects raises RuntimeError. ``smooth``
+    asks for a smooth decomposition, which keeps the status only when
+    m + w = n + 1.
     """
-    mi = build_model(g, m, w, variant=variant, symmetry_breaking=symmetry_breaking)
+    mi = build_model(
+        g, m, w, variant=variant, symmetry_breaking=symmetry_breaking, smooth=smooth
+    )
     if confirm is None:
         report = mi.solver.solve(
             decision_vars=mi.decision_vars, decision_limit=decision_limit, timeout=timeout
@@ -490,6 +503,7 @@ def _run_schedule(
                 decision_limit=decision_limit,
                 timeout=timeout,
                 confirm=confirm,
+                smooth=confirm is None,
             )
             trace.append(step)
             if step.status is Status.UNSAT:

@@ -3,18 +3,22 @@ into engine variables and propagators, and decode solved instances.
 
 Variables per instance: per decomposition node, a set variable over the
 vertices, a set variable over the edge indices (the edges the node
-holds), and parent and depth integers. One channel per node ties its
-edge set to its vertex set, and one union over the edge sets places
-every edge in some node. The unary facts are part of the initial
-domains: node 0 is the root at depth 0, no node is its own parent, and
-on a path node i hangs from node i - 1. One running-intersection
-propagator per child node covers every other node, reading the
-vertices two nodes share straight from their set variables. It also
-keeps the child one level below its parent, so that the depths it
-guards on are those of the rooted tree. Symmetry breaking orders node
-sets lexicographically on their membership vectors, vertex 0 first:
-every consecutive pair for free-form trees, first against last for
-path-shaped instances (whose only node symmetry is reversal).
+holds), a parent integer, and on a tree a depth integer. One channel
+per node ties its edge set to its vertex set, and one union over the
+edge sets places every edge in some node. The unary facts are part of
+the initial domains: node 0 is the root at depth 0, no node is its own
+parent, and on a path node i hangs from node i - 1. On a tree, one
+running-intersection propagator per child node covers every other
+node, reading the vertices two nodes share straight from their set
+variables. It also keeps the child one level below its parent, so that
+the depths it guards on are those of the rooted tree. On a path, whose
+parents are constants, one chain over the node sets in path order
+keeps each vertex's nodes contiguous, and the model grows linearly in
+m. ``smooth`` asks for a smooth decomposition (see ``driver``).
+Symmetry breaking orders node sets lexicographically on their
+membership vectors, vertex 0 first: every consecutive pair for
+free-form trees, first against last for path-shaped instances (whose
+only node symmetry is reversal).
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ class ModelInstance:
     solver: Solver
     node_sets: list[SetVar]
     parents: list[IntVar]
-    depths: list[IntVar]
+    depths: list[IntVar]  # empty on a path
     edge_sets: list[SetVar]  # per node, over the indices of g.edges
     decision_vars: list[IntVar | SetVar]
 
@@ -52,11 +56,14 @@ def build_model(
     w: int,
     variant: Variant = Variant.TREE,
     symmetry_breaking: bool = True,
+    smooth: bool = False,
 ) -> ModelInstance:
     """Create all variables and post all constraints for one instance.
 
     Asks: does g have a decomposition with exactly m nodes, each of
     cardinality at most w (a path-shaped one for the PATH variant)?
+    With ``smooth`` it asks for a smooth one: every node of exactly w
+    vertices, each child with exactly one vertex its parent lacks.
     Decision variables are the parent variables followed by the edge
     sets, whose elements the search takes edge by edge, nodes ascending.
     """
@@ -76,11 +83,13 @@ def build_model(
         else:
             parents.append(solver.int_var(0, m - 1, f"parent{i}"))
             parents[i].remove(i)
-    depths = [solver.int_var(0, 0, "depth0")]
-    depths += [solver.int_var(0, m - 1, f"depth{i}") for i in range(1, m)]
+    depths = []
+    if variant is Variant.TREE:
+        depths = [solver.int_var(0, 0, "depth0")]
+        depths += [solver.int_var(0, m - 1, f"depth{i}") for i in range(1, m)]
 
     for x in node_sets:
-        solver.post(props.CardinalityAtMost(x, w))
+        solver.post(props.CardinalityAtMost(x, w, exact=smooth))
     solver.post(props.UnionEquals(node_sets, (1 << g.n) - 1))
 
     ends, incident = props.incidence(g.n, g.edges)
@@ -89,10 +98,13 @@ def build_model(
         solver.post(props.EdgeInNode(x, edge_set, ends, incident))
     solver.post(props.UnionEquals(edge_sets, (1 << len(g.edges)) - 1))
 
-    # The root needs none: its parent is itself, which holds everything
-    # it shares with any node.
-    for k in range(1, m):
-        solver.post(props.RunningIntersection(k, depths, parents[k], node_sets))
+    if variant is Variant.PATH:
+        solver.post(props.PathIntersection(node_sets, smooth))
+    else:
+        # The root needs none: its parent is itself, which holds
+        # everything it shares with any node.
+        for k in range(1, m):
+            solver.post(props.RunningIntersection(k, depths, parents[k], node_sets, smooth))
 
     if symmetry_breaking and m > 1:
         if variant is Variant.TREE:
@@ -131,8 +143,8 @@ def extract_decomposition(mi: ModelInstance, witness: dict) -> TreeDecomposition
 def encode_decomposition(mi: ModelInstance, td: TreeDecomposition) -> dict:
     """The assignment of mi's node sets, parents and edge sets that
     spells out td, with set values as membership masks: the inverse of
-    extract_decomposition. The depths are left out; once the parents are
-    fixed, propagation fixes them.
+    extract_decomposition. A tree's depths are left out; once the parents
+    are fixed, propagation fixes them.
 
     A tree's nodes are sorted into the LexLeq order and the tree is
     re-rooted at the first; a path, given in path order from node 0,

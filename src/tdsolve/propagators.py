@@ -4,7 +4,12 @@ Each class filters one constraint at subset-bound / domain level and
 carries a ``satisfied`` method that evaluates the constraint directly on
 a full assignment (used to audit witnesses without going through the
 filtering code). ``RunningIntersection`` also keeps each child one
-level below its parent: the depth variables serve only its guard.
+level below its parent: the depth variables serve only its guard. On a
+path, whose parents and depths are constants, one ``PathIntersection``
+over the node sets in path order does the same work in linear time.
+With ``smooth`` (``exact`` for the cardinality), they ask for a smooth
+decomposition: nodes of exactly w vertices, each child with exactly one
+vertex its parent lacks (Bodlaender, SIAM J. Comput. 1996).
 Where an edge lies is a set variable per node over the edge indices:
 ``EdgeInNode`` ties it to the node's vertex set with whole-mask rules,
 and one ``UnionEquals`` over the edge sets places every edge (subset
@@ -17,27 +22,38 @@ from .engine import Inconsistent, IntVar, Propagator, SetVar, bits_of
 
 
 class CardinalityAtMost(Propagator):
-    """|X| <= bound. Reads only ``required``, so wakes only when it grows."""
+    """|X| <= bound, or with ``exact`` |X| == bound. Reads ``required``,
+    and ``possible`` only when the count is exact, so wakes only on the
+    events it reads."""
 
-    __slots__ = ("x", "bound")
+    __slots__ = ("x", "bound", "exact")
 
-    def __init__(self, x: SetVar, bound: int):
+    def __init__(self, x: SetVar, bound: int, exact: bool = False):
         if bound < 0:
             raise ValueError("cardinality bound must be nonnegative")
-        super().__init__(required=[x])
+        super().__init__(required=[x], possible=[x] if exact else ())
         self.x = x
         self.bound = bound
+        self.exact = exact
 
     def propagate(self) -> None:
-        required = self.x.required
+        x = self.x
+        required = x.required
         count = required.bit_count()
         if count > self.bound:
             raise Inconsistent
         if count == self.bound:
-            self.x.restrict(required)
+            x.restrict(required)
+        if self.exact:
+            count = x.possible.bit_count()
+            if count < self.bound:
+                raise Inconsistent
+            if count == self.bound:
+                x.require_mask(x.possible)
 
     def satisfied(self, value_of) -> bool:
-        return len(value_of(self.x)) <= self.bound
+        size = len(value_of(self.x))
+        return size == self.bound if self.exact else size <= self.bound
 
 
 class UnionEquals(Propagator):
@@ -162,6 +178,38 @@ class EdgeInNode(Propagator):
         return value_of(self.edge_set) == inside
 
 
+def _no_smooth_step(child: SetVar, parent: SetVar) -> bool:
+    """The child node cannot hang from the parent node in a smooth
+    decomposition, where each of the two holds exactly one vertex that
+    the other lacks."""
+    new = child.required & ~parent.possible
+    gone = parent.required & ~child.possible
+    return bool(
+        new & (new - 1)
+        or gone & (gone - 1)
+        or not child.possible & ~parent.required
+        or not parent.possible & ~child.required
+    )
+
+
+def _smooth_step(child: SetVar, parent: SetVar) -> None:
+    """Hang the child node from the parent node smoothly: a node that
+    requires a vertex the other cannot hold may hold nothing else that
+    the other cannot."""
+    if _no_smooth_step(child, parent):
+        raise Inconsistent
+    new = child.required & ~parent.possible
+    if new:
+        child.restrict(parent.possible | new)
+    gone = parent.required & ~child.possible
+    if gone:
+        parent.restrict(child.possible | gone)
+
+
+def _is_smooth_step(child: frozenset, parent: frozenset) -> bool:
+    return len(child - parent) == 1 and len(parent - child) == 1
+
+
 class RunningIntersection(Propagator):
     """For child node k and every other node i: if node i is at most as
     deep as node k, the vertices shared by i and k must all appear in
@@ -172,9 +220,11 @@ class RunningIntersection(Propagator):
     both nodes require. Once the guard is certainly true and the parent
     p is fixed, node p must hold them, and a vertex that one of the two
     nodes requires but node p cannot hold is excluded from the other.
+    With ``smooth``, a parent that node k cannot hang from in a smooth
+    decomposition is dropped, and once p is fixed ``_smooth_step`` holds.
     """
 
-    __slots__ = ("node_k", "depth_k", "parent_k", "depths", "node_sets", "pairs")
+    __slots__ = ("node_k", "depth_k", "parent_k", "depths", "node_sets", "pairs", "smooth")
 
     def __init__(
         self,
@@ -182,6 +232,7 @@ class RunningIntersection(Propagator):
         depths: list[IntVar],
         parent_k: IntVar,
         node_sets: list[SetVar],
+        smooth: bool = False,
     ):
         if len(depths) != len(node_sets) or not 0 <= k < len(node_sets):
             raise ValueError(f"child node {k} is not one of {len(node_sets)} nodes")
@@ -192,16 +243,20 @@ class RunningIntersection(Propagator):
         self.depths = list(depths)
         self.node_sets = list(node_sets)
         self.pairs = [(i, depths[i], node_sets[i]) for i in range(len(node_sets)) if i != k]
+        self.smooth = smooth
 
     def propagate(self) -> None:
         node_k = self.node_k
         depth_k = self.depth_k
         parent = self.parent_k
         node_sets = self.node_sets
+        smooth = self.smooth
         for i, depth_i, node_i in self.pairs:
             dk = depth_k.mask
             di = depth_i.mask
-            if parent.mask >> i & 1 and (di << 1) & dk == 0:
+            if parent.mask >> i & 1 and (
+                (di << 1) & dk == 0 or smooth and _no_smooth_step(node_k, node_i)
+            ):
                 parent.remove(i)  # node i cannot sit one level above node k
             if (di & -di).bit_length() > dk.bit_length():
                 continue  # guard certainly false: depth_i.min > depth_k.max
@@ -234,21 +289,81 @@ class RunningIntersection(Propagator):
                 depth_k.intersect((1 << (di.bit_length() - 1)) - 1)
         candidates = parent.mask
         if candidates & (candidates - 1) == 0:
-            depth_p = self.depths[candidates.bit_length() - 1]
+            p = candidates.bit_length() - 1
+            depth_p = self.depths[p]
             if depth_k.mask != depth_p.mask << 1:
                 depth_k.intersect(depth_p.mask << 1)
                 depth_p.intersect(depth_k.mask >> 1)
+            if smooth:
+                _smooth_step(node_k, node_sets[p])
 
     def satisfied(self, value_of) -> bool:
         depth_k = value_of(self.depth_k)
         node_k = value_of(self.node_k)
         p = value_of(self.parent_k)
         bag = value_of(self.node_sets[p])
-        return depth_k == value_of(self.depths[p]) + 1 and all(
-            value_of(node_i) & node_k <= bag
-            for _, depth_i, node_i in self.pairs
-            if value_of(depth_i) <= depth_k
+        return (
+            depth_k == value_of(self.depths[p]) + 1
+            and (not self.smooth or _is_smooth_step(node_k, bag))
+            and all(
+                value_of(node_i) & node_k <= bag
+                for _, depth_i, node_i in self.pairs
+                if value_of(depth_i) <= depth_k
+            )
         )
+
+
+class PathIntersection(Propagator):
+    """Running intersection on a path: node sets ``xs`` in path order,
+    each node hanging from the one before, so the nodes that hold a
+    vertex must be contiguous. Reads and prunes whole masks, in one
+    backward and one forward pass: a vertex required at two nodes is
+    required at every node between them, and a vertex required at one
+    node leaves every node beyond a node, on either side, that cannot
+    hold it. With ``smooth``, each consecutive pair of nodes is also a
+    ``_smooth_step``.
+    """
+
+    __slots__ = ("xs", "smooth")
+
+    def __init__(self, xs: list[SetVar], smooth: bool = False):
+        super().__init__(xs)
+        self.xs = list(xs)
+        self.smooth = smooth
+
+    def propagate(self) -> None:
+        xs = self.xs
+        # backward: what the nodes after each node require, and what a
+        # node that cannot hold a later requirement keeps out of the
+        # nodes before it
+        after = []
+        later = cut = 0
+        for x in reversed(xs):
+            x.restrict(~cut)
+            after.append(later)
+            cut |= later & ~x.possible
+            later |= x.required
+        after.reverse()
+        # forward: fill the gaps, and cut after a node in the same way
+        earlier = cut = 0
+        prev = None
+        for x, later in zip(xs, after):
+            x.require_mask(earlier & later)
+            x.restrict(~cut)
+            if self.smooth and prev is not None:
+                _smooth_step(x, prev)
+            cut |= earlier & ~x.possible
+            earlier |= x.required
+            prev = x
+
+    def satisfied(self, value_of) -> bool:
+        bags = [value_of(x) for x in self.xs]
+        seen: set = set()
+        for prev, bag in zip([frozenset()] + bags, bags):
+            if not bag & seen <= prev:
+                return False
+            seen |= bag
+        return not self.smooth or all(map(_is_smooth_step, bags[1:], bags))
 
 
 def _lex_leq(x: int, y: int) -> bool:

@@ -160,17 +160,18 @@ def random_constraint_instance(rng: random.Random) -> Solver:
         CardinalityAtMost,
         EdgeInNode,
         LexLeq,
+        PathIntersection,
         RunningIntersection,
         UnionEquals,
         incidence,
     )
 
     s = Solver()
-    kind = rng.randrange(7)
+    kind = rng.randrange(8)
     if kind == 0:
         x = s.set_var(4)
         tighten_randomly(s, rng)
-        s.post(CardinalityAtMost(x, rng.randint(0, 3)))
+        s.post(CardinalityAtMost(x, rng.randint(0, 3), exact=rng.random() < 0.5))
     elif kind == 1:
         xs = [s.set_var(3) for _ in range(rng.randint(1, 3))]
         tighten_randomly(s, rng)
@@ -207,7 +208,13 @@ def random_constraint_instance(rng: random.Random) -> Solver:
         parent_k = s.int_var(0, nodes_n - 1)
         nodes = [s.set_var(2) for _ in range(nodes_n)]
         tighten_randomly(s, rng)
-        s.post(RunningIntersection(k, depths, parent_k, nodes))
+        s.post(RunningIntersection(k, depths, parent_k, nodes, smooth=rng.random() < 0.5))
+    elif kind == 6:
+        # a path's node sets, in path order
+        size = rng.randint(2, 3)
+        nodes = [s.set_var(size) for _ in range(rng.randint(2, 4))]
+        tighten_randomly(s, rng)
+        s.post(PathIntersection(nodes, smooth=rng.random() < 0.5))
     else:
         size = rng.randint(1, 4)
         a, b = s.set_var(size), s.set_var(size)

@@ -122,6 +122,21 @@ def test_pathwidth_at_least_treewidth():
         assert pathwidth(g).min_width >= treewidth(g).min_width
 
 
+def test_smooth_steps_agree_with_bare_steps():
+    # m + w = n + 1 at every schedule step, where a decomposition exists
+    # iff a smooth one does
+    rng = random.Random(71)
+    for n in range(3, 8):
+        for p in (0.3, 0.5, 0.7):
+            for _ in range(2):
+                g = random_graph(n, p, rng)
+                for variant in Variant:
+                    for m, w in driver._schedule_pairs(n):
+                        bare = decide(g, m, w, variant=variant)
+                        smooth = decide(g, m, w, variant=variant, smooth=True)
+                        assert smooth.status == bare.status, (g.edges, variant, m, w)
+
+
 def test_monotone_in_node_count_along_schedule():
     # SAT at (m, w) stays SAT at (m+1, w): pad with a duplicate node
     for n in range(1, 5):

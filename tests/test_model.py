@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -18,7 +19,7 @@ from tdsolve.driver import _schedule_pairs, decide, smooth_decomposition, upper_
 from tdsolve.engine import SetVar, Status, bits_of
 from tdsolve.graphs import TreeDecomposition
 from tdsolve.model import Variant, build_model, encode_decomposition, extract_decomposition
-from tdsolve.propagators import LexLeq
+from tdsolve.propagators import LexLeq, PathIntersection, RunningIntersection
 from tdsolve.validator import validate
 
 
@@ -61,6 +62,35 @@ def test_path_variant_lex_is_reversal_only():
     g = path_graph(4)
     mi = build_model(g, m=3, w=2, variant=Variant.PATH)
     assert lex_count(mi) == 1
+
+
+@pytest.mark.parametrize("smooth", [False, True])
+def test_path_size_formulas(smooth):
+    # no depths, and one chain instead of a running intersection per child
+    g = random_graph(5, 0.5, random.Random(3))
+    mi = build_model(g, m=4, w=2, variant=Variant.PATH, smooth=smooth)
+    assert mi.depths == []
+    assert mi.solver.int_vars == mi.parents
+    kinds = [type(p) for p in mi.solver.propagators]
+    assert kinds.count(PathIntersection) == 1 and RunningIntersection not in kinds
+    assert len(kinds) == 2 * 4 + 4  # cardinality and channel per node, two unions, chain, lex
+    assert all(p.smooth is smooth for p in mi.solver.propagators if isinstance(p, PathIntersection))
+
+
+def _watcher_entries(solver):
+    return sum(len(v.watchers) for v in solver.int_vars) + sum(
+        len(x.required_watchers) + len(x.possible_watchers) for x in solver.set_vars
+    )
+
+
+def test_path_models_grow_linearly_in_m():
+    # a tree model subscribes each child's running intersection to every
+    # node, so it grows as m^2; the path chain subscribes once per node
+    g = path_graph(3)
+    for m in (10, 100, 400):
+        mi = build_model(g, m=m, w=2, variant=Variant.PATH)
+        assert _watcher_entries(mi.solver) < 10 * m
+    assert _watcher_entries(build_model(g, m=10, w=2).solver) > 10 * 10
 
 
 def test_build_rejects_degenerate_inputs():
@@ -147,7 +177,7 @@ def test_path_variant_parent_chain():
     step = decide(g, 3, 2, variant=Variant.PATH)
     assert step.status is Status.SAT
     assert step.witness.parent == (0, 0, 1)
-    assert _model_depths(step) == [0, 1, 2]
+    assert not any(var.name.startswith("depth") for var in step.report.witness)
 
 
 def _assert_at_fixpoint(solver):
@@ -172,9 +202,9 @@ def test_full_model_propagation_is_idempotent():
     for n in (4, 5, 6):
         for _ in range(4):
             g = random_graph(n, 0.5, rng)
-            for variant in Variant:
+            for variant, smooth in itertools.product(Variant, (False, True)):
                 for m, w in _schedule_pairs(n)[1:4]:
-                    mi = build_model(g, m, w, variant=variant)
+                    mi = build_model(g, m, w, variant=variant, smooth=smooth)
                     solver = mi.solver
                     consistent = solver.propagate()
                     while consistent:

@@ -12,12 +12,14 @@ from helpers import (
     random_constraint_instance,
     snapshot,
     solutions_within,
+    tighten_randomly,
 )
 from tdsolve.engine import Solver
 from tdsolve.propagators import (
     CardinalityAtMost,
     EdgeInNode,
     LexLeq,
+    PathIntersection,
     RunningIntersection,
     UnionEquals,
     incidence,
@@ -47,6 +49,39 @@ def test_cardinality_slack_changes_nothing():
     s.post(CardinalityAtMost(x, 3))
     assert s.propagate()
     assert x.required == 0 and x.possible == 0b111
+
+
+def test_exact_cardinality_takes_every_possible_element():
+    s = Solver()
+    x = s.set_var(4)
+    x.restrict(0b1011)
+    s.post(CardinalityAtMost(x, 3, exact=True))
+    assert s.propagate()
+    assert x.value() == frozenset({0, 1, 3})
+
+
+def test_exact_cardinality_fails_short_and_wakes_on_possible():
+    s = Solver()
+    x = s.set_var(4)
+    s.post(CardinalityAtMost(x, 3, exact=True))
+    assert s.propagate() and x.required == 0
+    x.exclude(0)  # a possible event alone completes the count
+    assert s.propagate()
+    assert x.required == 0b1110
+    s2 = Solver()
+    x2 = s2.set_var(4)
+    x2.restrict(0b0011)
+    s2.post(CardinalityAtMost(x2, 3, exact=True))
+    assert not s2.propagate()
+
+
+def test_exact_cardinality_satisfied_needs_the_exact_count():
+    s = Solver()
+    x = s.set_var(3)
+    at_most, exact = CardinalityAtMost(x, 2), CardinalityAtMost(x, 2, exact=True)
+    assert at_most.satisfied({x: frozenset({0})}.__getitem__)
+    assert not exact.satisfied({x: frozenset({0})}.__getitem__)
+    assert exact.satisfied({x: frozenset({0, 2})}.__getitem__)
 
 
 def test_union_forces_last_support():
@@ -312,6 +347,190 @@ def test_running_intersection_covers_every_other_node():
     assert nodes[0].required == 0b110
     with pytest.raises(ValueError):
         RunningIntersection(3, depths, parent_k, nodes)
+
+
+def test_running_intersection_smooth_drops_parents():
+    # child k = 1 requires vertex 0; each candidate parent fails one of
+    # the four smooth-step tests, except node 2
+    def drops(tighten):
+        s, depths, parent_k, nodes, _ = _running_intersection_setup(4)
+        for d in depths:
+            d.intersect(0b11)
+        depths[1].assign(1)
+        tighten(nodes)
+        s.post(RunningIntersection(1, depths, parent_k, nodes, smooth=True))
+        return s.propagate(), parent_k.domain()
+
+    def child_needs_two(nodes):  # node 0 cannot hold two vertices node 1 requires
+        nodes[1].require_mask(0b011)
+        nodes[0].restrict(0b100)
+
+    def parent_needs_two(nodes):  # node 0 requires two vertices node 1 cannot hold
+        nodes[0].require_mask(0b110)
+        nodes[1].restrict(0b001)
+
+    def child_nothing_new(nodes):  # node 1 can hold only what node 0 requires
+        nodes[0].require_mask(0b011)
+        nodes[1].restrict(0b011)
+
+    def parent_nothing_gone(nodes):  # node 0 can hold only what node 1 requires
+        nodes[1].require_mask(0b011)
+        nodes[0].restrict(0b011)
+
+    for tighten in (child_needs_two, parent_needs_two, child_nothing_new, parent_nothing_gone):
+        assert drops(tighten) == (True, [2, 3]), tighten.__name__
+    assert drops(lambda nodes: None) == (True, [0, 2, 3])
+
+
+def test_running_intersection_smooth_step_once_parent_fixed():
+    # node 1 holds vertex 2, which parent node 0 cannot: every other
+    # vertex of node 1 must be possible in node 0, and the reverse
+    s, depths, parent_k, nodes, _ = _running_intersection_setup(3)
+    parent_k.assign(0)
+    nodes[1].require_mask(0b100)
+    nodes[0].restrict(0b011)
+    nodes[0].require_mask(0b001)
+    nodes[1].restrict(0b110)
+    s.post(RunningIntersection(1, depths, parent_k, nodes, smooth=True))
+    assert s.propagate()
+    assert nodes[1].possible == 0b110 and nodes[0].possible == 0b011
+    nodes[0].exclude(1)  # so node 1 may hold vertex 2 alone
+    assert s.propagate()
+    assert nodes[1].possible == 0b100
+    s2, depths2, parent2, nodes2, _ = _running_intersection_setup(3)
+    parent2.assign(0)
+    nodes2[1].require_mask(0b011)
+    nodes2[0].restrict(0b100)
+    s2.post(RunningIntersection(1, depths2, parent2, nodes2, smooth=True))
+    assert not s2.propagate()
+
+
+def test_running_intersection_smooth_satisfied():
+    s, depths, parent, nodes, _ = _running_intersection_setup(2)
+    prop = RunningIntersection(1, depths, parent, nodes, smooth=True)
+
+    def value(parent_bag, child_bag):
+        bags = {nodes[0]: frozenset(parent_bag), nodes[1]: frozenset(child_bag)}
+        return {parent: 0, depths[0]: 0, depths[1]: 1, **bags}.__getitem__
+
+    assert prop.satisfied(value({0, 1}, {1, 2}))
+    assert not prop.satisfied(value({0}, {0, 1}))  # the child keeps all of its parent
+    assert not prop.satisfied(value({0}, {1, 2}))  # the child adds two
+
+
+def _chain(length=4, size=4, smooth=False):
+    s = Solver()
+    nodes = [s.set_var(size) for _ in range(length)]
+    return s, nodes, PathIntersection(nodes, smooth)
+
+
+def test_chain_fills_between_requirements():
+    s, nodes, prop = _chain()
+    nodes[0].include(1)
+    nodes[3].include(1)
+    s.post(prop)
+    assert s.propagate()
+    assert [x.required for x in nodes] == [0b10] * 4
+
+
+def test_chain_cuts_after_a_gap():
+    s, nodes, prop = _chain()
+    nodes[1].include(2)
+    nodes[2].exclude(2)
+    s.post(prop)
+    assert s.propagate()
+    assert [x.possible >> 2 & 1 for x in nodes] == [1, 1, 0, 0]
+
+
+def test_chain_cuts_before_a_gap():
+    s, nodes, prop = _chain()
+    nodes[3].include(0)
+    nodes[1].exclude(0)
+    s.post(prop)
+    assert s.propagate()
+    assert [x.possible & 1 for x in nodes] == [0, 0, 1, 1]
+    assert [x.required for x in nodes] == [0, 0, 0, 1]
+
+
+def test_chain_fails_on_a_gap_between_requirements():
+    s, nodes, prop = _chain()
+    nodes[0].include(3)
+    nodes[3].include(3)
+    nodes[2].exclude(3)
+    s.post(prop)
+    assert not s.propagate()
+
+
+def test_chain_smooth_restricts_consecutive_nodes():
+    # node 1 holds vertex 3, which node 0 cannot: node 1 may hold nothing
+    # else that node 0 cannot, and node 0 nothing else that node 1 cannot
+    s, nodes, prop = _chain(length=2, smooth=True)
+    nodes[0].restrict(0b0111)
+    nodes[1].include(3)
+    nodes[0].include(0)
+    nodes[1].restrict(0b1110)
+    s.post(prop)
+    assert s.propagate()
+    assert nodes[0].possible == 0b0111 and nodes[1].possible == 0b1110
+    nodes[0].exclude(1)
+    assert s.propagate()
+    assert nodes[1].possible == 0b1100
+
+
+def test_chain_smooth_failures():
+    def fails(tighten):
+        s, nodes, prop = _chain(length=2, smooth=True)
+        tighten(*nodes)
+        s.post(prop)
+        return not s.propagate()
+
+    # either node requires two vertices the other cannot hold
+    assert fails(lambda a, b: (b.require_mask(0b0011), a.restrict(0b1100)))
+    assert fails(lambda a, b: (a.require_mask(0b0011), b.restrict(0b1100)))
+    # either node can hold nothing beyond what the other requires
+    assert fails(lambda a, b: (a.require_mask(0b0011), b.restrict(0b0011)))
+    assert fails(lambda a, b: (b.require_mask(0b0110), a.restrict(0b0110)))
+    assert not fails(lambda a, b: (a.require_mask(0b0011), b.restrict(0b0111)))
+
+
+def test_chain_satisfied_needs_contiguous_and_smooth_nodes():
+    s, nodes, bare = _chain(length=3)
+    smooth = PathIntersection(nodes, smooth=True)
+
+    def value(*bags):
+        return dict(zip(nodes, map(frozenset, bags))).__getitem__
+
+    assert bare.satisfied(value({0, 1}, {1, 2}, {2}))
+    assert not bare.satisfied(value({0, 1}, {1}, {0, 2}))  # vertex 0 leaves and returns
+    assert smooth.satisfied(value({0, 1}, {1, 2}, {2, 3}))
+    assert not smooth.satisfied(value({0, 1}, {1, 2}, {0, 1}))  # not contiguous
+    assert not smooth.satisfied(value({0, 1}, {1, 2}, {2}))  # node 2 adds nothing
+    assert not smooth.satisfied(value({0}, {1, 2}, {2, 3}))  # node 1 adds two
+
+
+def test_chain_prunes_at_least_what_the_pairwise_rule_does():
+    # on a path, with parents and depths fixed, the chain's fixpoint
+    # contains the one of a RunningIntersection per child node
+    rng = random.Random(77)
+    for _ in range(300):
+        m = rng.randint(2, 4)
+        chain = Solver()
+        chain_nodes = [chain.set_var(3) for _ in range(m)]
+        tighten_randomly(chain, rng)
+        chain.post(PathIntersection(chain_nodes))
+        pairwise = Solver()
+        depths = [pairwise.int_var(i, i) for i in range(m)]
+        nodes = [pairwise.set_var(3) for _ in range(m)]
+        for x, y in zip(nodes, chain_nodes):
+            x.required, x.possible = y.required, y.possible
+        for k in range(1, m):
+            parent = pairwise.int_var(k - 1, k - 1)
+            pairwise.post(RunningIntersection(k, depths, parent, nodes))
+        if not pairwise.propagate():
+            assert not chain.propagate()
+        elif chain.propagate():
+            for x, y in zip(nodes, chain_nodes):
+                assert x.required & ~y.required == 0 and y.possible & ~x.possible == 0
 
 
 def test_lex_base_cases():

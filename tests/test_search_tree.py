@@ -3,17 +3,21 @@
 Per-step (m, w, status, decisions, fails) of full treewidth and
 pathwidth schedules on twelve G(n, 1/2) graphs (eight with n = 6, four
 with n = 7, drawn with tests.helpers.random_graph from random.Random(1)).
-The values were recorded before propagators woke on typed set events,
-before RunningIntersection was merged per child node and before LexLeq
-ran on set bounds. An exact propagation change keeps every one of them;
-only the propagation count may move.
+The tree values were recorded before propagators woke on typed set
+events, before RunningIntersection was merged per child node and before
+LexLeq ran on set bounds. An exact propagation change keeps every one
+of them; only the propagation count may move. The path values were
+re-recorded when one PathIntersection chain replaced the pairwise
+running intersection on paths: its fixpoint contains the pairwise one,
+so five of their steps searched fewer decisions, and none more.
 
-Every pinned step is searched again through ``decide``, so the whole
-search tree stays pinned although the schedule no longer searches every
-step. The schedule must match the same table except that a step with
+Every pinned step is searched again through ``decide`` on the bare
+model, so the whole search tree stays pinned although the schedule no
+longer searches every step. In the schedule, a step with
 w <= minor_min_width(g) reads 0 decisions and 0 fails and carries the
-certificate, and a step with w >= the greedy upper bound is confirmed
-from the greedy order's decomposition: SAT, with no decision or fail.
+certificate, a step with w >= the greedy upper bound is confirmed from
+the greedy order's decomposition: SAT, with no decision or fail, and a
+step between the bounds is searched on the smooth model.
 
 The witnesses are pinned too: the sha256 of the ``.td`` text that
 ``write_td`` gives for each schedule's witness. A change that only
@@ -26,7 +30,14 @@ import hashlib
 
 import pytest
 
-from tdsolve.driver import decide, minor_min_width, pathwidth, treewidth, upper_bound
+from tdsolve.driver import (
+    bounds,
+    decide,
+    minor_min_width,
+    pathwidth,
+    treewidth,
+    upper_bound,
+)
 from tdsolve.graphio import write_td
 from tdsolve.graphs import Graph
 from tdsolve.model import Variant
@@ -63,14 +74,14 @@ PINNED = [
         [(1, 6, 'SAT', 0, 0), (2, 5, 'SAT', 4, 0), (3, 4, 'SAT', 8, 0), (4, 3, 'SAT', 19, 2),
          (5, 2, 'SAT', 10, 0), (6, 1, 'UNSAT', 10, 6)],
         [(1, 6, 'SAT', 0, 0), (2, 5, 'SAT', 4, 0), (3, 4, 'SAT', 9, 0), (4, 3, 'SAT', 20, 3),
-         (5, 2, 'SAT', 38, 14), (6, 1, 'UNSAT', 10, 6)],
+         (5, 2, 'SAT', 28, 9), (6, 1, 'UNSAT', 10, 6)],
     ),
     (
         6,
         [(0, 1), (0, 5), (1, 2), (2, 3), (2, 4), (2, 5), (3, 4)],
         [(1, 6, 'SAT', 0, 0), (2, 5, 'SAT', 9, 1), (3, 4, 'SAT', 12, 0), (4, 3, 'SAT', 22, 3),
          (5, 2, 'UNSAT', 46, 24)],
-        [(1, 6, 'SAT', 0, 0), (2, 5, 'SAT', 9, 1), (3, 4, 'SAT', 13, 0), (4, 3, 'SAT', 19, 2),
+        [(1, 6, 'SAT', 0, 0), (2, 5, 'SAT', 9, 1), (3, 4, 'SAT', 13, 0), (4, 3, 'SAT', 17, 2),
          (5, 2, 'UNSAT', 68, 35)],
     ),
     (
@@ -79,7 +90,7 @@ PINNED = [
         [(1, 6, 'SAT', 0, 0), (2, 5, 'SAT', 6, 0), (3, 4, 'SAT', 15, 1), (4, 3, 'SAT', 18, 1),
          (5, 2, 'SAT', 12, 0), (6, 1, 'UNSAT', 10, 6)],
         [(1, 6, 'SAT', 0, 0), (2, 5, 'SAT', 6, 0), (3, 4, 'SAT', 14, 1), (4, 3, 'SAT', 15, 1),
-         (5, 2, 'SAT', 18, 4), (6, 1, 'UNSAT', 10, 6)],
+         (5, 2, 'SAT', 14, 2), (6, 1, 'UNSAT', 10, 6)],
     ),
     (
         6,
@@ -120,7 +131,7 @@ PINNED = [
         [(1, 7, 'SAT', 0, 0), (2, 6, 'SAT', 7, 0), (3, 5, 'SAT', 26, 6), (4, 4, 'SAT', 118, 51),
          (5, 3, 'UNSAT', 2214, 1108)],
         [(1, 7, 'SAT', 0, 0), (2, 6, 'SAT', 7, 0), (3, 5, 'SAT', 30, 6), (4, 4, 'SAT', 25, 2),
-         (5, 3, 'UNSAT', 470, 236)],
+         (5, 3, 'UNSAT', 466, 234)],
     ),
     (
         7,
@@ -128,7 +139,7 @@ PINNED = [
         [(1, 7, 'SAT', 0, 0), (2, 6, 'SAT', 6, 0), (3, 5, 'SAT', 12, 0),
          (4, 4, 'SAT', 407, 197), (5, 3, 'UNSAT', 6512, 3257)],
         [(1, 7, 'SAT', 0, 0), (2, 6, 'SAT', 6, 0), (3, 5, 'SAT', 17, 0), (4, 4, 'SAT', 34, 8),
-         (5, 3, 'UNSAT', 1014, 508)],
+         (5, 3, 'UNSAT', 1010, 506)],
     ),
 ]
 
@@ -161,32 +172,51 @@ def test_search_tree_is_pinned(problem, index):
             assert _row(step, step.report.decisions, step.report.fails) == (m, w, "SAT", 0, 0)
             assert status == "SAT"
         else:
-            assert _row(step, step.report.decisions, step.report.fails) == (
-                m, w, status, decisions, fails,
+            smooth = decide(g, m, w, variant=variant, smooth=True)
+            assert _row(step, step.report.decisions, step.report.fails) == _row(
+                smooth, smooth.report.decisions, smooth.report.fails
             )
+            assert status == step.status.value and step.report.decisions <= decisions
     assert [s.bound for s in trace] == [minor if s.w <= lb else None for s in trace]
 
 
-# Searched path steps between the bounds, on nine-vertex graphs too:
-# (n, edges, m, w, status, decisions, fails). The first is the gap step
-# of test_cli's GAP_GR; the second is draw 14 of G(9, 0.3) from
-# random.Random(903) (0-based).
+# Path steps between the bounds, which the schedule searches on the
+# smooth model, on nine-vertex graphs too: (n, edges, m, w, status,
+# decisions, fails). The first is the gap step of test_cli's GAP_GR; the
+# second is draw 14 of G(9, 0.3) from random.Random(903) (0-based).
 PINNED_STEPS = [
     (
         7,
         [(0, 1), (0, 5), (0, 6), (1, 6), (2, 4), (2, 5), (3, 4), (3, 6), (4, 5), (4, 6),
          (5, 6)],
-        5, 3, 'UNSAT', 776, 389,
+        5, 3, 'UNSAT', 580, 291,
     ),
-    (9, [(0, 8), (1, 6), (2, 4), (2, 6), (2, 7), (3, 4), (5, 7)], 8, 2, 'UNSAT', 6056, 3029),
+    (9, [(0, 8), (1, 6), (2, 4), (2, 6), (2, 7), (3, 4), (5, 7)], 8, 2, 'UNSAT', 964, 483),
 ]
 
 
 @pytest.mark.parametrize("index", range(len(PINNED_STEPS)))
 def test_searched_path_steps_are_pinned(index):
     n, edges, m, w, *expected = PINNED_STEPS[index]
-    step = decide(Graph.from_edges(n, edges), m, w, variant=Variant.PATH)
+    step = decide(Graph.from_edges(n, edges), m, w, variant=Variant.PATH, smooth=True)
     assert [step.status.value, step.report.decisions, step.report.fails] == expected
+
+
+# Draw 72 (0-based) of G(9, 0.7) from random.Random(907): its tree gap
+# step (4, 6) took 65,542 decisions on the bare model
+TREE_GAP_EDGES = [
+    (0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (0, 6), (1, 2), (1, 3), (1, 5), (1, 7), (1, 8),
+    (2, 4), (2, 5), (2, 6), (2, 7), (2, 8), (3, 4), (3, 5), (3, 6), (3, 7), (4, 5), (4, 7),
+    (4, 8), (5, 6), (5, 8), (6, 7), (6, 8),
+]
+
+
+def test_searched_tree_step_is_pinned():
+    g = Graph.from_edges(9, TREE_GAP_EDGES)
+    lb, _, upper = bounds(g, Variant.TREE)
+    assert lb < 6 < upper[0]  # the schedule searches the step
+    step = decide(g, 4, 6, smooth=True)
+    assert [step.status.value, step.report.decisions, step.report.fails] == ['UNSAT', 8652, 4327]
 
 
 # sha256 of write_td(witness, g) per PINNED graph: (treewidth, pathwidth)
