@@ -16,8 +16,9 @@ order: min-degree elimination for trees, a smallest-boundary placement
 for paths. For every w >= ub the order gives a decomposition with
 exactly n + 1 - w nodes of at most w vertices (merge the bags of the
 last w eliminated, or the first w placed, vertices into one). Such a
-step is SAT without search: the model confirms that decomposition by
-one propagation, and the witness still comes out of the model and
+step is SAT without search: the model is given every variable of that
+decomposition and confirms it by one propagation, which runs each
+posted propagator once; the witness still comes out of the model and
 passes the validator.
 
 While ub - lb >= 2 leaves steps to search, ``bounds`` tries stronger
@@ -145,9 +146,12 @@ def decide(
     Without ``confirm`` the instance is searched under the decision and
     time limits. With it, a decomposition with m nodes of at most w
     vertices (in path order for PATH), the model checks that
-    decomposition by one propagation instead (``Solver.check``): the
-    step is SAT with no decision or fail, and the limits do not apply.
-    A decomposition the model rejects raises RuntimeError. ``smooth``
+    decomposition instead: ``encode_decomposition`` gives every variable
+    and ``Solver.check`` runs each propagator once. The step is SAT with
+    no decision or fail, its propagations are the number of propagators
+    posted, and the limits do not apply.
+    A decomposition the model rejects raises RuntimeError, and parent
+    pointers that do not form a tree raise ValueError. ``smooth``
     asks for a smooth decomposition, which keeps the status only when
     m + w = n + 1.
     """

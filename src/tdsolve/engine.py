@@ -431,30 +431,36 @@ class Solver:
             var.exclude(v)
 
     def check(self, values: dict) -> Optional[dict]:
-        """Confirm an assignment with one propagation instead of a search.
+        """Confirm a full assignment with one pass of every propagator
+        instead of a search.
 
-        On a freshly built model, fixes every variable in ``values`` (an
-        IntVar to its int, a SetVar to its membership mask) and runs the
-        queue to fixpoint once. Returns the full assignment, in the
-        layout of a solve witness, if no propagator fails and every
-        variable is then fixed; None otherwise. Counts the propagations,
-        and no decision or fail.
+        ``values`` gives every variable of a freshly built model: an
+        IntVar its int, a SetVar its membership mask. Each value must lie
+        in its domain (an IntVar's mask; a SetVar's ``required`` and
+        ``possible`` bounds), and is then set directly, without a trail
+        entry or a wake. ``post`` has queued every propagator, and on a
+        fixed assignment each one either prunes nothing or fails, so the
+        one propagation runs each exactly once. Returns the assignment,
+        in the layout of a solve witness, if none fails; None if one
+        fails, a value lies outside its domain or a variable is missing.
+        Counts the propagations, and no decision or fail.
         """
         self.decisions = 0
         self.propagations = 0
         self.fails = 0
-        try:
-            for var, value in values.items():
-                if isinstance(var, SetVar):
-                    var.require_mask(value)
-                    var.restrict(value)
-                elif var.contains(value):
-                    var.assign(value)
-                else:
-                    return None
-        except Inconsistent:
-            return None
-        if not self.propagate() or not all(v.is_fixed() for v in self.int_vars + self.set_vars):
+        for var in self.int_vars:
+            value = values.get(var)
+            if value is None or not var.contains(value):
+                return None
+        for svar in self.set_vars:
+            value = values.get(svar)
+            if value is None or svar.required & ~value or value & ~svar.possible:
+                return None
+        for var in self.int_vars:
+            var.mask = 1 << values[var]
+        for svar in self.set_vars:
+            svar.required = svar.possible = values[svar]
+        if not self.propagate():
             return None
         return self._witness()
 

@@ -28,7 +28,7 @@ from enum import Enum
 
 from . import propagators as props
 from .engine import IntVar, SetVar, Solver
-from .graphs import Graph, TreeDecomposition, oriented_at_zero
+from .graphs import Graph, TreeDecomposition
 
 
 class Variant(Enum):
@@ -47,6 +47,7 @@ class ModelInstance:
     parents: list[IntVar]
     depths: list[IntVar]  # empty on a path
     edge_sets: list[SetVar]  # per node, over the indices of g.edges
+    incident: list[int]  # per vertex, the mask of the edges at it
     decision_vars: list[IntVar | SetVar]
 
 
@@ -126,6 +127,7 @@ def build_model(
         parents=parents,
         depths=depths,
         edge_sets=edge_sets,
+        incident=incident,
         decision_vars=parents + edge_sets,
     )
 
@@ -141,40 +143,75 @@ def extract_decomposition(mi: ModelInstance, witness: dict) -> TreeDecomposition
 
 
 def encode_decomposition(mi: ModelInstance, td: TreeDecomposition) -> dict:
-    """The assignment of mi's node sets, parents and edge sets that
-    spells out td, with set values as membership masks: the inverse of
-    extract_decomposition. A tree's depths are left out; once the parents
-    are fixed, propagation fixes them.
+    """The assignment of every variable of mi that spells out td, with
+    set values as membership masks: the inverse of extract_decomposition.
 
     A tree's nodes are sorted into the LexLeq order and the tree is
-    re-rooted at the first; a path, given in path order from node 0,
-    is reversed if LexLeq of its two ends needs it. Edge sets follow
-    from the result. Raises ValueError unless td has exactly mi.m nodes.
+    re-rooted at the first, by reversing the parent pointers on the path
+    from it up to node 0; a depth is the node's distance to the new root.
+    A path, given in path order from node 0, is reversed if LexLeq of its
+    two ends needs it. A node's edge set is every edge but those at a
+    vertex outside the node. Raises ValueError unless td has exactly
+    mi.m nodes and, for a tree, its parent pointers form a tree rooted
+    at node 0 (``parent[0]`` is not read).
     """
-    if td.m != mi.m:
-        raise ValueError(f"a decomposition to encode for {mi.m} nodes has {td.m}")
+    m, n = mi.m, mi.g.n
+    if td.m != m:
+        raise ValueError(f"a decomposition to encode for {m} nodes has {td.m}")
     masks = [sum(1 << v for v in bag) for bag in td.nodes]
+    width = f"0{n}b"
 
     def lex_key(i: int) -> str:
         """Membership vector, vertex 0 first."""
-        return format(masks[i], f"0{mi.g.n}b")[::-1]
+        return format(masks[i], width)[::-1]
 
+    depth = []
     if mi.variant is Variant.PATH:
-        if lex_key(0) > lex_key(len(masks) - 1):
+        if lex_key(0) > lex_key(m - 1):
             masks.reverse()
-        parent = [max(i - 1, 0) for i in range(len(masks))]
+        parent = [max(i - 1, 0) for i in range(m)]
     else:
-        rank = sorted(range(len(masks)), key=lex_key)
-        new = {old: i for i, old in enumerate(rank)}
-        edges = [(new[p], new[i]) for p, i in td.tree_edges()]
-        parent = oriented_at_zero([td.nodes[old] for old in rank], edges).parent
+        rank = sorted(range(m), key=lex_key)
+        up = list(td.parent)
+        if not all(0 <= p < m for p in up[1:]):
+            raise ValueError(f"parent pointers {td.parent} leave the nodes 0..{m - 1}")
+        below = j = rank[0]
+        for _ in range(m):  # a path to node 0 has at most m nodes
+            above = up[j]
+            up[j] = below
+            if j == 0:
+                break
+            below, j = j, above
+        else:
+            raise ValueError(f"node {rank[0]} does not reach the root")
+        new = [0] * m
+        for i, old in enumerate(rank):
+            new[old] = i
+        parent = [new[up[old]] for old in rank]
         masks = [masks[old] for old in rank]
+        children = [[] for _ in range(m)]
+        for i in range(1, m):
+            children[parent[i]].append(i)
+        depth = [0] * m
+        reached = [0]  # breadth-first from the root, which reaches no cycle
+        for i in reached:
+            for k in children[i]:
+                depth[k] = depth[i] + 1
+                reached.append(k)
+        if len(reached) != m:
+            raise ValueError(f"parent pointers {td.parent} do not form a tree")
+
+    every_edge = (1 << len(mi.g.edges)) - 1
+
+    def edges_within(mask: int) -> int:
+        edges = every_edge
+        for v in range(n):
+            if not mask >> v & 1:
+                edges &= ~mi.incident[v]
+        return edges
 
     values: dict = dict(zip(mi.node_sets, masks))
     values.update(zip(mi.parents, parent))
-    ends = [1 << u | 1 << v for u, v in mi.g.edges]
-    values.update(
-        (x, sum(1 << e for e, uv in enumerate(ends) if mask & uv == uv))
-        for x, mask in zip(mi.edge_sets, masks)
-    )
+    values.update(zip(mi.depths, depth))
+    values.update((x, edges_within(mask)) for x, mask in zip(mi.edge_sets, masks))
     return values

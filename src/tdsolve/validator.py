@@ -4,6 +4,17 @@ witness, and the minor certificate of a treewidth lower bound.
 Shares no logic with the constraint engine or the bound that builds the
 certificate: every check here is a direct traversal of the claimed
 object, so it can serve as an independent auditor.
+
+A decomposition is read as one vertex mask per node. A vertex is a
+*top* of a node that holds it when the node's parent lacks it; every
+vertex of the root is a top of the root. If the parent pointers form a
+tree rooted at node 0, the nodes holding a vertex form one connected
+subtree iff the vertex is a top of exactly one node (each connected
+piece has one topmost node), and it is covered iff it is a top of at
+least one. So one pass over the nodes checks coverage and the running
+intersection property. A breadth-first search over the tree edges is
+left for naming the nodes cut off from a vertex's first node, and for
+parent pointers that are not such a tree.
 """
 
 from __future__ import annotations
@@ -61,97 +72,126 @@ def validate(
     m = len(td.nodes)
     if m == 0:
         raise ValueError("decomposition has no nodes")
-    if len(td.parent) != m:
-        raise ValueError(f"length mismatch: {m} nodes, {len(td.parent)} parents")
+    parent = td.parent
+    if len(parent) != m:
+        raise ValueError(f"length mismatch: {m} nodes, {len(parent)} parents")
 
     out: list[Violation] = []
 
     # Tree shape: parent pointers.
     parents_in_range = True
-    if td.parent[0] != 0:
-        out.append(Violation(ViolationKind.TREE_SHAPE, f"parent[0] is {td.parent[0]}, expected 0"))
+    if parent[0] != 0:
+        out.append(Violation(ViolationKind.TREE_SHAPE, f"parent[0] is {parent[0]}, expected 0"))
     for i in range(1, m):
-        p = td.parent[i]
+        p = parent[i]
         if not (0 <= p < m):
             out.append(Violation(ViolationKind.TREE_SHAPE, f"parent[{i}] = {p} out of range"))
             parents_in_range = False
             continue
         if p == i:
             out.append(Violation(ViolationKind.TREE_SHAPE, f"node {i} is its own parent"))
+    is_tree = parents_in_range
     if parents_in_range:
         for i in range(1, m):
-            if td.parent[i] == i:
-                continue  # already reported
             j = i
             hops = 0
             while j != 0 and hops <= m:
-                j = td.parent[j]
+                j = parent[j]
                 hops += 1
             if j != 0:
-                out.append(
-                    Violation(ViolationKind.TREE_SHAPE, f"node {i} does not reach the root")
-                )
+                is_tree = False
+                if parent[i] != i:  # a self-parent is already reported
+                    out.append(
+                        Violation(ViolationKind.TREE_SHAPE, f"node {i} does not reach the root")
+                    )
 
     if expect_path:
         children = [0] * m
         for i in range(1, m):
-            if 0 <= td.parent[i] < m and td.parent[i] != i:
-                children[td.parent[i]] += 1
+            if 0 <= parent[i] < m and parent[i] != i:
+                children[parent[i]] += 1
         for i, count in enumerate(children):
             if count > 1:
                 out.append(Violation(ViolationKind.PATH_SHAPE, f"node {i} has {count} children"))
 
     # Property 1: every node is a subset of V.
+    n = g.n
+    masks = []
     for i, bag in enumerate(td.nodes):
-        stray = sorted(v for v in bag if not (0 <= v < g.n))
-        if stray:
-            out.append(
-                Violation(ViolationKind.COVERAGE, f"node {i} contains non-vertices {stray}")
-            )
+        mask = 0
+        for v in bag:
+            if 0 <= v < n:
+                mask |= 1 << v
+        if mask.bit_count() != len(bag):
+            stray = sorted(v for v in bag if not (0 <= v < n))
+            if stray:
+                out.append(
+                    Violation(ViolationKind.COVERAGE, f"node {i} contains non-vertices {stray}")
+                )
+        masks.append(mask)
+
+    # The tops: ``covered`` has the vertices with one or more, ``cut``
+    # those with two or more. Off a tree, every covered vertex is searched.
+    if is_tree:
+        covered, cut = masks[0], 0
+        for i in range(1, m):
+            top = masks[i] & ~masks[parent[i]]
+            cut |= covered & top
+            covered |= top
+    else:
+        covered = 0
+        for mask in masks:
+            covered |= mask
+        cut = covered
 
     # Property 2: the union of the nodes is V.
-    covered = frozenset().union(*td.nodes) if td.nodes else frozenset()
-    for v in range(g.n):
-        if v not in covered:
-            out.append(Violation(ViolationKind.COVERAGE, f"vertex {v} appears in no node"))
+    if covered != (1 << n) - 1:
+        for v in range(n):
+            if not covered >> v & 1:
+                out.append(Violation(ViolationKind.COVERAGE, f"vertex {v} appears in no node"))
 
     # Property 3: every edge lies inside some node.
     for u, v in g.edges:
-        if not any(u in bag and v in bag for bag in td.nodes):
+        uv = 1 << u | 1 << v
+        for mask in masks:
+            if mask & uv == uv:
+                break
+        else:
             out.append(Violation(ViolationKind.EDGE, f"edge ({u}, {v}) is inside no node"))
 
-    # Property 4: the nodes containing any vertex induce a connected subtree.
-    tree_adj = [[] for _ in range(m)]
-    for i in range(1, m):
-        p = td.parent[i]
-        if 0 <= p < m and p != i:
-            tree_adj[i].append(p)
-            tree_adj[p].append(i)
-    for v in range(g.n):
-        holders = [i for i in range(m) if v in td.nodes[i]]
-        if len(holders) <= 1:
-            continue
-        member = set(holders)
-        reached = {holders[0]}
-        queue = deque([holders[0]])
-        while queue:
-            i = queue.popleft()
-            for j in tree_adj[i]:
-                if j in member and j not in reached:
-                    reached.add(j)
-                    queue.append(j)
-        missing = sorted(set(holders) - reached)
-        if missing:
-            out.append(
-                Violation(
-                    ViolationKind.CONNECTEDNESS,
-                    f"vertex {v}: nodes {sorted(holders)} do not form a connected subtree"
-                    f" (nodes {missing} are cut off)",
+    # Property 4: the nodes containing any vertex induce a connected
+    # subtree. A search from a cut vertex's first node names the others.
+    if cut:
+        tree_adj = [[] for _ in range(m)]
+        for i in range(1, m):
+            p = parent[i]
+            if 0 <= p < m and p != i:
+                tree_adj[i].append(p)
+                tree_adj[p].append(i)
+        for v in range(n):
+            if not cut >> v & 1:
+                continue
+            holders = [i for i in range(m) if masks[i] >> v & 1]
+            reached = {holders[0]}
+            queue = deque(reached)
+            while queue:
+                i = queue.popleft()
+                for j in tree_adj[i]:
+                    if masks[j] >> v & 1 and j not in reached:
+                        reached.add(j)
+                        queue.append(j)
+            missing = sorted(set(holders) - reached)
+            if missing:
+                out.append(
+                    Violation(
+                        ViolationKind.CONNECTEDNESS,
+                        f"vertex {v}: nodes {holders} do not form a connected subtree"
+                        f" (nodes {missing} are cut off)",
+                    )
                 )
-            )
 
     if expect_w is not None:
-        widest = max(len(bag) for bag in td.nodes)
+        widest = max(map(len, td.nodes))
         if widest > expect_w:
             out.append(
                 Violation(ViolationKind.WIDTH, f"largest node has {widest} vertices, bound {expect_w}")

@@ -284,13 +284,14 @@ def test_check_returns_a_solution_as_is():
             s, found = _check_fresh(seed, dict(enumerate(solution)))
             assert found == dict(zip(s.int_vars + s.set_vars, solution))
             assert (s.decisions, s.fails) == (0, 0)
+            assert s.propagations == len(s.propagators)  # each runs once
             assert s.check_witness(found)
             confirmed += 1
     assert confirmed > 300
 
 
 def test_check_rejects_what_is_not_a_solution():
-    rejected = {"broken": 0, "outside": 0, "partial": 0}
+    rejected = {"broken": 0, "outside": 0, "required": 0, "partial": 0}
     for seed in range(200):
         solutions = _solutions(seed)
         if not solutions:
@@ -315,10 +316,15 @@ def test_check_rejects_what_is_not_a_solution():
         assert _check_fresh(seed, {**solution, 0: -1})[1] is None
         assert _check_fresh(seed, {**solution, ints: solution[ints] | {3}})[1] is None
         rejected["outside"] += 1
-        # a partial assignment that two solutions complete
+        # a set without an element its domain requires
+        for i, svar in enumerate(s.set_vars, start=ints):
+            for e in bits_of(svar.required):
+                assert _check_fresh(seed, {**solution, i: solution[i] - {e}})[1] is None
+                rejected["required"] += 1
+        # a partial assignment, even one that a single solution completes
         for i in solution:
             rest = {j: v for j, v in solution.items() if j != i}
+            assert _check_fresh(seed, rest)[1] is None
             if sum(all(other[j] == v for j, v in rest.items()) for other in solutions) > 1:
-                assert _check_fresh(seed, rest)[1] is None
                 rejected["partial"] += 1
     assert min(rejected.values()) > 50, rejected

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import signal
 
 import pytest
 
@@ -258,7 +259,7 @@ def test_encoding_inverts_extraction_and_dives_without_a_fail():
                 mi = build_model(g, m, w, variant=variant)
                 values = encode_decomposition(mi, smooth_decomposition(variant, order, bags, w))
                 every_var = set(mi.solver.int_vars) | set(mi.solver.set_vars)
-                assert set(values) == every_var - set(mi.depths)
+                assert set(values) == every_var
                 encoded = _as_witness(values)
                 td = extract_decomposition(mi, encoded)
                 is_path = variant is Variant.PATH
@@ -266,7 +267,8 @@ def test_encoding_inverts_extraction_and_dives_without_a_fail():
                 found = mi.solver.check(values)
                 assert found is not None, (g.edges, variant, w)
                 assert (mi.solver.decisions, mi.solver.fails) == (0, 0)
-                assert {var: found[var] for var in encoded} == encoded
+                assert mi.solver.propagations == len(mi.solver.propagators)
+                assert found == encoded
                 assert mi.solver.check_witness(found), (g.edges, variant, w)
                 checked += 1
     assert checked > 100
@@ -280,12 +282,69 @@ def test_encoding_orders_nodes_for_symmetry_breaking():
     values = encode_decomposition(mi, tree)
     assert [values[x] for x in mi.node_sets] == [0b1100, 0b0110, 0b0011]
     assert [values[p] for p in mi.parents] == [0, 0, 1]
-    assert not set(mi.depths) & set(values)
+    assert [values[d] for d in mi.depths] == [0, 1, 2]
     # a path whose first node is lex-larger than its last is reversed
     path = TreeDecomposition.from_parents([{0, 1}, {1, 2}, {2, 3}], [0, 0, 1])
     mi = build_model(g, 3, 2, variant=Variant.PATH)
     values = encode_decomposition(mi, path)
     assert [values[x] for x in mi.node_sets] == [0b1100, 0b0110, 0b0011]
-    assert mi.solver.check_witness(_as_witness(values) | dict(zip(mi.depths, range(3))))
+    assert mi.solver.check_witness(_as_witness(values))
     with pytest.raises(ValueError):
         encode_decomposition(build_model(g, 2, 3), path)
+
+
+def _check_encoded(td, drop="", **changes):
+    """``Solver.check`` on a fresh P4 model (w = 2) of td's encoding,
+    with the variable named ``drop`` left out and the named ``changes``
+    made."""
+    mi = build_model(path_graph(4), td.m, 2)
+    values = {
+        var: changes.get(var.name, value)
+        for var, value in encode_decomposition(mi, td).items()
+        if var.name != drop
+    }
+    return mi.solver.check(values)
+
+
+def test_check_needs_every_variable_in_its_domain():
+    tree = TreeDecomposition.from_parents([{0, 1}, {1, 2}, {2, 3}], [0, 0, 1])
+    assert _check_encoded(tree) is not None
+    names = [var.name for var in encode_decomposition(build_model(path_graph(4), 3, 2), tree)]
+    assert len(names) == 12  # 3 node sets, 3 parents, 3 depths, 3 edge sets
+    for name in names:
+        assert _check_encoded(tree, drop=name) is None, name
+    for change in [
+        {"parent1": 1},  # its own parent
+        {"parent2": 3},
+        {"depth0": 1},
+        {"depth2": 3},
+        {"depth2": -1},
+        {"depth2": 1},  # in its domain, but not one below its parent
+        {"node0": 0b10000},
+        {"node0": 0b0111},  # three vertices, w = 2
+        {"edges1": 0},  # edge (1, 2) left out of node 1, the one holding it
+    ]:
+        assert _check_encoded(tree, **change) is None, change
+
+
+def _raises_value_error_in_time(call):
+    def expire(signum, frame):
+        raise TimeoutError
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 5)
+    try:
+        with pytest.raises(ValueError):
+            call()
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs SIGALRM")
+def test_encoding_a_parent_array_that_is_no_tree_raises():
+    mi = build_model(path_graph(4), 3, 2)
+    for bags in ([{0, 1}, {1, 2}, {2, 3}], [{2, 3}, {0, 1}, {1, 2}]):
+        # the lex-first node is node 2, on the cycle, then node 0, the root
+        for parent in [(0, 2, 1), (0, 1, 0), (0, 0, 2), (0, 3, 0), (0, -1, 0)]:
+            td = TreeDecomposition(tuple(map(frozenset, bags)), parent)
+            _raises_value_error_in_time(lambda: encode_decomposition(mi, td))

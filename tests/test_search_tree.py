@@ -2,7 +2,8 @@
 
 Per-step (m, w, status, decisions, fails) of full treewidth and
 pathwidth schedules on twelve G(n, 1/2) graphs (eight with n = 6, four
-with n = 7, drawn with tests.helpers.random_graph from random.Random(1)).
+with n = 7, drawn with tests.helpers.random_graph from random.Random(1))
+and on test_cli's GAP_GR, whose path schedule searches a step.
 The tree values were recorded before propagators woke on typed set
 events, before RunningIntersection was merged per child node and before
 LexLeq ran on set bounds. An exact propagation change keeps every one
@@ -141,6 +142,16 @@ PINNED = [
         [(1, 7, 'SAT', 0, 0), (2, 6, 'SAT', 6, 0), (3, 5, 'SAT', 17, 0), (4, 4, 'SAT', 34, 8),
          (5, 3, 'UNSAT', 1010, 506)],
     ),
+    # test_cli's GAP_GR: the schedule searches its path step (5, 3)
+    (
+        7,
+        [(0, 1), (0, 5), (0, 6), (1, 6), (2, 4), (2, 5), (3, 4), (3, 6), (4, 5), (4, 6),
+         (5, 6)],
+        [(1, 7, 'SAT', 0, 0), (2, 6, 'SAT', 6, 0), (3, 5, 'SAT', 25, 4), (4, 4, 'SAT', 41, 9),
+         (5, 3, 'SAT', 1077, 530), (6, 2, 'UNSAT', 120, 61)],
+        [(1, 7, 'SAT', 0, 0), (2, 6, 'SAT', 6, 0), (3, 5, 'SAT', 30, 4), (4, 4, 'SAT', 25, 1),
+         (5, 3, 'UNSAT', 758, 380)],
+    ),
 ]
 
 
@@ -245,6 +256,8 @@ PINNED_TD_SHA256 = [
      'e0f8eefd4962415a76574ad0bddd42573f934ce9111eaf66af907ae38873105a'),
     ('9ee68472290bd929e2d67a251d8de6952a1fef7b8c26da9c1d4ec0dfcd7ccdd3',
      'e3cb07f11769f60680a646b7b88dce3bbf38d3b603c77a276b1a9d5c48843154'),
+    ('7e9d68c01ad9422e1b4ce3afddd83db7eadac490920363e8d1fc262087d63d5c',
+     'aa147632188992fc1e43f72536377d0eb4afc79fe767b61b40aaaa336fcf0ed2'),
 ]
 
 
