@@ -4,7 +4,7 @@ A decision instance (graph, node count, width bound) is compiled into a
 constraint model over set and integer variables and solved by a small
 propagation engine; a lockstep schedule of such instances yields the
 exact treewidth or pathwidth together with a validated decomposition.
-An independent validator certifies the answers; the brute-force
+An independent validator certifies the answers; the exact subset-DP
 oracles of ``tdsolve.oracle`` cross-check them on small graphs.
 """
 

@@ -157,12 +157,11 @@ def _cmd_oracle(args) -> int:
     from .oracle import brute_pathwidth, brute_treewidth
 
     g = _load_graph(args.graph, args.format)
-    kwargs = {} if args.limit is None else {"limit": args.limit}
     if args.pathwidth:
-        result = brute_pathwidth(g, **kwargs)
+        result = brute_pathwidth(g)
         label = "pathwidth"
     else:
-        result = brute_treewidth(g, **kwargs)
+        result = brute_treewidth(g)
         label = "treewidth"
     print(f"min_width={result.width}")
     print(f"{label}={result.width - 1}")
@@ -234,10 +233,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--w", type=int, default=None, help="also check the width bound")
     sub.set_defaults(func=_cmd_validate)
 
-    sub = commands.add_parser("oracle", help="brute-force width for small graphs")
+    sub = commands.add_parser("oracle", help="exact width of a small graph, without the solver")
     _add_graph_arg(sub)
-    sub.add_argument("--pathwidth", action="store_true")
-    sub.add_argument("--limit", type=int, default=None, help="vertex-count cap")
+    sub.add_argument("--pathwidth", action="store_true", help="pathwidth instead of treewidth")
     sub.set_defaults(func=_cmd_oracle)
 
     sub = commands.add_parser("export-dot", help="render a graph (and optional .td) as DOT")

@@ -92,13 +92,21 @@ def validate(
             out.append(Violation(ViolationKind.TREE_SHAPE, f"node {i} is its own parent"))
     is_tree = parents_in_range
     if parents_in_range:
+        # A walk marks its nodes False and stops at the first marked
+        # node, so each node is walked once; stopping on its own mark
+        # means a cycle.
+        reaches: list[bool | None] = [None] * m
+        reaches[0] = True
         for i in range(1, m):
+            walk = []
             j = i
-            hops = 0
-            while j != 0 and hops <= m:
+            while reaches[j] is None:
+                reaches[j] = False
+                walk.append(j)
                 j = parent[j]
-                hops += 1
-            if j != 0:
+            for k in walk:
+                reaches[k] = reaches[j]
+            if not reaches[i]:
                 is_tree = False
                 if parent[i] != i:  # a self-parent is already reported
                     out.append(
@@ -150,13 +158,15 @@ def validate(
             if not covered >> v & 1:
                 out.append(Violation(ViolationKind.COVERAGE, f"vertex {v} appears in no node"))
 
-    # Property 3: every edge lies inside some node.
+    # Property 3: every edge lies inside some node. ``beside[u]`` holds
+    # the vertices that share a node with u.
+    beside = [0] * n
+    for bag, mask in zip(td.nodes, masks):
+        for v in bag:
+            if 0 <= v < n:
+                beside[v] |= mask
     for u, v in g.edges:
-        uv = 1 << u | 1 << v
-        for mask in masks:
-            if mask & uv == uv:
-                break
-        else:
+        if not beside[u] >> v & 1:
             out.append(Violation(ViolationKind.EDGE, f"edge ({u}, {v}) is inside no node"))
 
     # Property 4: the nodes containing any vertex induce a connected

@@ -2,7 +2,7 @@
 
 One test per acceptance criterion, in order, each printing a summary
 line (visible under ``pytest -s`` or on failure). All comparisons
-against the brute-force oracles are exact integer equality. Witnesses
+against the subset-DP oracles are exact integer equality. Witnesses
 produced along the way feed the proposition check (criterion 6) and the
 mutation suite (criterion 7).
 """
@@ -93,7 +93,7 @@ def test_criterion_2_oracle_equivalence_sampled():
 
 def test_criterion_3_pathwidth_equivalence():
     count = 0
-    for n in range(1, 5):
+    for n in range(1, 6):
         for g in all_labeled_graphs(n):
             assert pathwidth(g).min_width == brute_pathwidth(g).width, g.edges
             count += 1
@@ -102,7 +102,35 @@ def test_criterion_3_pathwidth_equivalence():
         g = random_graph(6, 0.5, rng)
         assert pathwidth(g).min_width == brute_pathwidth(g).width, g.edges
         count += 1
-    print(f"criterion 3 PASS: pathwidth matches the ordering oracle on {count} graphs")
+    print(f"criterion 3 PASS: pathwidth matches the subset oracle on {count} graphs")
+
+
+def _draw(seed: int, p: float, index: int) -> Graph:
+    rng = random.Random(seed)
+    for _ in range(index):
+        random_graph(9, p, rng)
+    return random_graph(9, p, rng)
+
+
+# Seeded G(9, p) draws (0-based) whose schedules each search a gap step,
+# lb < w < ub: answers that no bound or greedy order settles.
+N9_GAP_GRAPHS = [
+    pytest.param(solve, brute, seed, p, index, id=f"{solve.__name__}-{seed}-{index}")
+    for solve, brute, seed, p, indices in (
+        (treewidth, brute_treewidth, 907, 0.7, (17, 64, 72, 95, 99)),
+        (pathwidth, brute_pathwidth, 903, 0.3, (14, 73, 92)),
+        (pathwidth, brute_pathwidth, 905, 0.5, (48, 81, 84)),
+    )
+    for index in indices
+]
+
+
+@pytest.mark.parametrize("solve, brute, seed, p, index", N9_GAP_GRAPHS)
+def test_searched_gap_steps_at_n9_match_the_oracle(solve, brute, seed, p, index):
+    g = _draw(seed, p, index)
+    result = solve(g)
+    assert result.min_width == brute(g).width, g.edges
+    assert validate(g, result.witness, expect_w=result.min_width) == []
 
 
 def test_criterion_4_known_families():

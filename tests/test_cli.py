@@ -8,6 +8,7 @@ from tdsolve import cli, driver
 from tdsolve.cli import main
 from tdsolve.graphio import MAX_VERTICES, parse_gr
 from tdsolve.model import Variant
+from tdsolve.oracle import MAX_VERTICES as ORACLE_MAX_VERTICES
 from tdsolve.validator import Violation, ViolationKind
 
 P3_GR = "p tw 3 2\n1 2\n2 3\n"
@@ -113,6 +114,26 @@ def test_oracle_command(k3, capsys):
     assert capsys.readouterr().out == "min_width=3\ntreewidth=2\n"
     assert main(["oracle", k3, "--pathwidth"]) == 0
     assert capsys.readouterr().out == "min_width=3\npathwidth=2\n"
+
+
+@pytest.mark.parametrize("flags", [[], ["--pathwidth"]])
+def test_oracle_above_its_cap_is_an_error(flags, tmp_path, capsys):
+    # The largest graph a file may declare; the oracle refuses it before
+    # building any table.
+    f = tmp_path / "path.gr"
+    n = MAX_VERTICES
+    f.write_text(f"p tw {n} {n - 1}\n" + "".join(f"{v} {v + 1}\n" for v in range(1, n)))
+    assert main(["oracle", str(f), *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: graph has {n} vertices, oracle limit is {ORACLE_MAX_VERTICES}\n"
+
+
+def test_oracle_has_no_limit_option(k3, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["oracle", k3, "--limit", "20"])
+    assert err.value.code == 1
+    assert "unrecognized arguments: --limit 20" in capsys.readouterr().err
 
 
 def test_export_dot_stdout_and_file(p3, tmp_path, capsys):

@@ -43,7 +43,7 @@ def test_single_node_step_always_sat():
 
 
 def test_decide_k3_two_nodes_width_two_unsat():
-    # brute force: no decomposition of K3 has width under 3, at any m
+    # the exact oracle: no decomposition of K3 has width under 3, at any m
     assert brute_treewidth(complete_graph(3)).width == 3
     assert decide(complete_graph(3), 2, 2).status is Status.UNSAT
 

@@ -1,16 +1,20 @@
-"""Brute-force oracle behavior."""
+"""Exact oracle behavior: both subset DPs against a permutation
+enumerator written here."""
 
 from __future__ import annotations
 
+import itertools
 import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from helpers import (
+    all_labeled_graphs,
     complete_graph,
     cycle_graph,
     edgeless_graph,
@@ -21,6 +25,7 @@ from helpers import (
 import tdsolve
 from tdsolve.graphs import Graph
 from tdsolve.oracle import (
+    MAX_VERTICES,
     brute_pathwidth,
     brute_treewidth,
     decomposition_from_order,
@@ -108,11 +113,87 @@ def test_relabeling_invariance():
 
 
 def test_size_limits_enforced():
-    with pytest.raises(ValueError):
-        brute_treewidth(edgeless_graph(10))
-    with pytest.raises(ValueError):
-        brute_pathwidth(edgeless_graph(9))
-    assert brute_treewidth(edgeless_graph(10), limit=10).width == 1
+    # Refused before any 2^n table exists: one table at MAX_VERTICES + 1
+    # would take over a megabyte.
+    g = edgeless_graph(MAX_VERTICES + 1)
+    for brute in (brute_treewidth, brute_pathwidth):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"oracle limit is {MAX_VERTICES}"):
+                brute(g)
+            assert tracemalloc.get_traced_memory()[1] < 100_000
+        finally:
+            tracemalloc.stop()
+    assert brute_pathwidth(path_graph(MAX_VERTICES)).width == 2
+
+
+def test_empty_graph_has_width_zero_and_no_witness():
+    for brute in (brute_treewidth, brute_pathwidth):
+        result = brute(Graph.from_edges(0, []))
+        assert (result.width, result.order, result.decomposition) == (0, (), None)
+
+
+def _masks(g):
+    return [sum(1 << u for u in g.adjacency[v]) for v in range(g.n)]
+
+
+def _elimination_cost(adj, order):
+    adj = list(adj)
+    width = 0
+    for v in order:
+        nb = adj[v]
+        width = max(width, 1 + bin(nb).count("1"))
+        for u in order:
+            if nb >> u & 1:
+                adj[u] = (adj[u] | nb) & ~(1 << u | 1 << v)
+    return width
+
+
+def _separation_cost(adj, order):
+    placed = width = 0
+    for i, v in enumerate(order):
+        placed |= 1 << v
+        width = max(width, 1 + sum(1 for u in order[: i + 1] if adj[u] & ~placed))
+    return width
+
+
+def _naive_widths(g):
+    """Minimum elimination width and minimum largest boundary + 1 over
+    every permutation of the vertices."""
+    if g.n == 0:
+        return 0, 0
+    adj = _masks(g)
+    orders = list(itertools.permutations(range(g.n)))
+    return (
+        min(_elimination_cost(adj, order) for order in orders),
+        min(_separation_cost(adj, order) for order in orders),
+    )
+
+
+def _check_against_naive(g):
+    tw, pw = brute_treewidth(g), brute_pathwidth(g)
+    assert (tw.width, pw.width) == _naive_widths(g), g.edges
+    adj = _masks(g)
+    assert _elimination_cost(adj, tw.order) == tw.width
+    assert _separation_cost(adj, pw.order) == pw.width
+    if g.n:
+        assert validate(g, tw.decomposition) == []
+        assert tw.decomposition.width == tw.width
+
+
+def test_subset_dp_equals_permutations_on_every_small_graph():
+    count = 0
+    for n in range(6):
+        for g in all_labeled_graphs(n):
+            _check_against_naive(g)
+            count += 1
+    assert count == 1 + 1 + 2 + 8 + 64 + 1024
+
+
+def test_subset_dp_equals_permutations_on_sampled_n6():
+    rng = random.Random(606)
+    for i in range(105):
+        _check_against_naive(random_graph(6, 0.2 + 0.1 * (i % 7), rng))
 
 
 def test_package_import_leaves_the_oracle_out():

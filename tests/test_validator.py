@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
 from collections import Counter, deque
 
 import pytest
 
 from helpers import complete_graph, path_graph
+from tdsolve.graphio import MAX_VERTICES
 from tdsolve.graphs import Graph, TreeDecomposition
 from tdsolve.validator import Violation, ViolationKind, validate
 
@@ -129,6 +131,20 @@ def test_a_vertex_with_two_tops_is_cut_off():
         "CONNECTEDNESS: vertex 0: nodes [1, 2, 3] do not form a connected subtree"
         " (nodes [2, 3] are cut off)"
     ]
+
+
+def test_largest_path_decomposition_validates_in_linear_time():
+    # A chain of 9,999 nodes as deep as it is long: walking every node
+    # to the root, or scanning the nodes for every edge, took seconds.
+    n = MAX_VERTICES
+    g = path_graph(n)
+    td = TreeDecomposition(
+        nodes=tuple(frozenset((v, v + 1)) for v in range(n - 1)),
+        parent=tuple(max(i - 1, 0) for i in range(n - 1)),
+    )
+    start = time.perf_counter()
+    assert validate(g, td, expect_m=n - 1, expect_w=2, expect_path=True) == []
+    assert time.perf_counter() - start < 0.5
 
 
 def test_negative_vertex_is_coverage_not_an_error():
