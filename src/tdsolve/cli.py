@@ -90,9 +90,8 @@ def _cmd_decide(args) -> int:
         raise ValueError(f"--w must be at least 1, got {args.w}")
     _check_limits(args)
     g = _load_graph(args.graph, args.format)
-    # a tree model grows as m^2 (a path model linearly), and m = n answers
-    # every m > n: a duplicate leaf pads a decomposition, and a smooth one
-    # has n + 1 - w <= n nodes
+    # m = n answers every m > n: a duplicate leaf pads a decomposition,
+    # and a smooth one has n + 1 - w <= n nodes
     if args.m > g.n:
         raise ValueError(f"--m must be at most the vertex count {g.n}, got {args.m}")
     variant = Variant.PATH if args.path else Variant.TREE

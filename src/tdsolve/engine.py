@@ -58,9 +58,6 @@ class IntVar:
             raise ValueError(f"{self!r} is not fixed")
         return self.mask.bit_length() - 1
 
-    def size(self) -> int:
-        return self.mask.bit_count()
-
     def min(self) -> int:
         return (self.mask & -self.mask).bit_length() - 1
 

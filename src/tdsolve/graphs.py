@@ -95,17 +95,19 @@ class TreeDecomposition:
             raise ValueError(f"{m} nodes but {len(parents)} parent pointers")
         if parents[0] != 0:
             raise ValueError("node 0 must be the root (parent[0] == 0)")
+        # Walk i marks its nodes i and stops at the root or a marked node,
+        # which reaches the root if an earlier walk marked it, else cycles.
+        walked = [0] * m
         for i in range(1, m):
-            hops = 0
             j = i
-            while j != 0:
+            while j and not walked[j]:
+                walked[j] = i
                 p = parents[j]
                 if not (0 <= p < m) or p == j:
                     raise ValueError(f"node {j} has invalid parent {p}")
                 j = p
-                hops += 1
-                if hops > m:
-                    raise ValueError(f"parent pointers cycle at node {i}")
+            if walked[j] == i:
+                raise ValueError(f"parent pointers cycle at node {i}")
         return cls(nodes=node_sets, parent=parents)
 
 

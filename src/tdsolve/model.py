@@ -8,13 +8,13 @@ per node ties its edge set to its vertex set, and one union over the
 edge sets places every edge in some node. The unary facts are part of
 the initial domains: node 0 is the root at depth 0, no node is its own
 parent, and on a path node i hangs from node i - 1. On a tree, one
-running-intersection propagator per child node covers every other
-node, reading the vertices two nodes share straight from their set
-variables. It also keeps the child one level below its parent, so that
-the depths it guards on are those of the rooted tree. On a path, whose
-parents are constants, one chain over the node sets in path order
-keeps each vertex's nodes contiguous, and the model grows linearly in
-m. ``smooth`` asks for a smooth decomposition (see ``driver``).
+running-intersection propagator covers every pair of nodes, reading
+the vertices two nodes share straight from their set variables. It
+also keeps each child one level below its parent, so that the depths
+it guards on are those of the rooted tree. On a path, whose parents
+are constants, one chain over the node sets in path order keeps each
+vertex's nodes contiguous. Either way the model grows linearly in m.
+``smooth`` asks for a smooth decomposition (see ``driver``).
 Symmetry breaking orders node sets lexicographically on their
 membership vectors, vertex 0 first: every consecutive pair for
 free-form trees, first against last for path-shaped instances (whose
@@ -102,10 +102,7 @@ def build_model(
     if variant is Variant.PATH:
         solver.post(props.PathIntersection(node_sets, smooth))
     else:
-        # The root needs none: its parent is itself, which holds
-        # everything it shares with any node.
-        for k in range(1, m):
-            solver.post(props.RunningIntersection(k, depths, parents[k], node_sets, smooth))
+        solver.post(props.RunningIntersection(depths, parents, node_sets, smooth))
 
     if symmetry_breaking and m > 1:
         if variant is Variant.TREE:

@@ -3,10 +3,11 @@
 Each class filters one constraint at subset-bound / domain level and
 carries a ``satisfied`` method that evaluates the constraint directly on
 a full assignment (used to audit witnesses without going through the
-filtering code). ``RunningIntersection`` also keeps each child one
-level below its parent: the depth variables serve only its guard. On a
-path, whose parents and depths are constants, one ``PathIntersection``
-over the node sets in path order does the same work in linear time.
+filtering code). One ``RunningIntersection`` covers every child node of
+a tree and keeps each child one level below its parent: the depth
+variables serve only its guard. On a path, whose parents and depths are
+constants, one ``PathIntersection`` over the node sets in path order
+does the same work in linear time.
 With ``smooth`` (``exact`` for the cardinality), they ask for a smooth
 decomposition: nodes of exactly w vertices, each child with exactly one
 vertex its parent lacks (Bodlaender, SIAM J. Comput. 1996).
@@ -211,10 +212,12 @@ def _is_smooth_step(child: frozenset, parent: frozenset) -> bool:
 
 
 class RunningIntersection(Propagator):
-    """For child node k and every other node i: if node i is at most as
-    deep as node k, the vertices shared by i and k must all appear in
-    k's parent node. The parent is one level above the child:
-    parent_k == p implies depth_k == depth_p + 1.
+    """For every child node k >= 1 and every other node i: if node i is
+    at most as deep as node k, the vertices shared by i and k must all
+    appear in k's parent node. The parent is one level above the child:
+    parents[k] == p implies depths[k] == depths[p] + 1. The root, node
+    0, needs no rule: its parent is itself, which holds everything it
+    shares with any node.
 
     The shared vertices are read straight from the node sets: those
     both nodes require. Once the guard is certainly true and the parent
@@ -224,92 +227,91 @@ class RunningIntersection(Propagator):
     decomposition is dropped, and once p is fixed ``_smooth_step`` holds.
     """
 
-    __slots__ = ("node_k", "depth_k", "parent_k", "depths", "node_sets", "pairs", "smooth")
+    __slots__ = ("depths", "parents", "node_sets", "nodes", "smooth")
 
     def __init__(
         self,
-        k: int,
         depths: list[IntVar],
-        parent_k: IntVar,
+        parents: list[IntVar],
         node_sets: list[SetVar],
         smooth: bool = False,
     ):
-        if len(depths) != len(node_sets) or not 0 <= k < len(node_sets):
-            raise ValueError(f"child node {k} is not one of {len(node_sets)} nodes")
-        super().__init__(list(depths) + [parent_k] + list(node_sets))
-        self.node_k = node_sets[k]
-        self.depth_k = depths[k]
-        self.parent_k = parent_k
+        if not len(depths) == len(parents) == len(node_sets):
+            raise ValueError("depths, parents and node sets differ in length")
+        super().__init__(list(depths) + list(parents[1:]) + list(node_sets))
         self.depths = list(depths)
+        self.parents = list(parents)
         self.node_sets = list(node_sets)
-        self.pairs = [(i, depths[i], node_sets[i]) for i in range(len(node_sets)) if i != k]
+        self.nodes = list(zip(range(len(node_sets)), depths, node_sets))  # (i, depth, set)
         self.smooth = smooth
 
     def propagate(self) -> None:
-        node_k = self.node_k
-        depth_k = self.depth_k
-        parent = self.parent_k
+        nodes = self.nodes
         node_sets = self.node_sets
         smooth = self.smooth
-        for i, depth_i, node_i in self.pairs:
-            dk = depth_k.mask
-            di = depth_i.mask
-            if parent.mask >> i & 1 and (
-                (di << 1) & dk == 0 or smooth and _no_smooth_step(node_k, node_i)
-            ):
-                parent.remove(i)  # node i cannot sit one level above node k
-            if (di & -di).bit_length() > dk.bit_length():
-                continue  # guard certainly false: depth_i.min > depth_k.max
-            shared_req = node_i.required & node_k.required
-            candidates = parent.mask
-            if not shared_req and candidates & (candidates - 1):
-                continue  # every candidate absorbs the empty set
-            # parents that cannot absorb the shared vertices
-            blocked = 0
-            rest = candidates
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                if shared_req & ~node_sets[low.bit_length() - 1].possible:
-                    blocked |= low
-            if di.bit_length() <= (dk & -dk).bit_length():
-                # guard certainly true (depth_i.max <= depth_k.min): drop
-                # the blocked parents, then enforce the subset once fixed
-                parent.intersect(~blocked)
+        for k, depth_k, node_k in nodes[1:]:
+            parent = self.parents[k]
+            for i, depth_i, node_i in nodes:
+                if i == k:
+                    continue
+                dk = depth_k.mask
+                di = depth_i.mask
+                if parent.mask >> i & 1 and (
+                    (di << 1) & dk == 0 or smooth and _no_smooth_step(node_k, node_i)
+                ):
+                    parent.remove(i)  # node i cannot sit one level above node k
+                if (di & -di).bit_length() > dk.bit_length():
+                    continue  # guard certainly false: depth_i.min > depth_k.max
+                shared_req = node_i.required & node_k.required
                 candidates = parent.mask
-                if candidates & (candidates - 1) == 0:
-                    target = node_sets[candidates.bit_length() - 1]
-                    target.require_mask(shared_req)
-                    node_i.restrict(~(node_k.required & ~target.possible))
-                    node_k.restrict(~(node_i.required & ~target.possible))
-            elif blocked == candidates:
-                # guard undecided and no parent can hold the subset:
-                # force node i strictly deeper than node k
-                depth_i.intersect(-1 << (dk & -dk).bit_length())
-                depth_k.intersect((1 << (di.bit_length() - 1)) - 1)
-        candidates = parent.mask
-        if candidates & (candidates - 1) == 0:
-            p = candidates.bit_length() - 1
-            depth_p = self.depths[p]
-            if depth_k.mask != depth_p.mask << 1:
-                depth_k.intersect(depth_p.mask << 1)
-                depth_p.intersect(depth_k.mask >> 1)
-            if smooth:
-                _smooth_step(node_k, node_sets[p])
+                if not shared_req and candidates & (candidates - 1):
+                    continue  # every candidate absorbs the empty set
+                # parents that cannot absorb the shared vertices
+                blocked = 0
+                rest = candidates
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    if shared_req & ~node_sets[low.bit_length() - 1].possible:
+                        blocked |= low
+                if di.bit_length() <= (dk & -dk).bit_length():
+                    # guard certainly true (depth_i.max <= depth_k.min): drop
+                    # the blocked parents, then enforce the subset once fixed
+                    parent.intersect(~blocked)
+                    candidates = parent.mask
+                    if candidates & (candidates - 1) == 0:
+                        target = node_sets[candidates.bit_length() - 1]
+                        target.require_mask(shared_req)
+                        node_i.restrict(~(node_k.required & ~target.possible))
+                        node_k.restrict(~(node_i.required & ~target.possible))
+                elif blocked == candidates:
+                    # guard undecided and no parent can hold the subset:
+                    # force node i strictly deeper than node k
+                    depth_i.intersect(-1 << (dk & -dk).bit_length())
+                    depth_k.intersect((1 << (di.bit_length() - 1)) - 1)
+            candidates = parent.mask
+            if candidates & (candidates - 1) == 0:
+                p = candidates.bit_length() - 1
+                depth_p = self.depths[p]
+                if depth_k.mask != depth_p.mask << 1:
+                    depth_k.intersect(depth_p.mask << 1)
+                    depth_p.intersect(depth_k.mask >> 1)
+                if smooth:
+                    _smooth_step(node_k, node_sets[p])
 
     def satisfied(self, value_of) -> bool:
-        depth_k = value_of(self.depth_k)
-        node_k = value_of(self.node_k)
-        p = value_of(self.parent_k)
-        bag = value_of(self.node_sets[p])
-        return (
-            depth_k == value_of(self.depths[p]) + 1
-            and (not self.smooth or _is_smooth_step(node_k, bag))
+        depths = [value_of(d) for d in self.depths]
+        bags = [value_of(x) for x in self.node_sets]
+        parents = [value_of(p) for p in self.parents[1:]]
+        return all(
+            depths[k] == depths[p] + 1
+            and (not self.smooth or _is_smooth_step(bags[k], bags[p]))
             and all(
-                value_of(node_i) & node_k <= bag
-                for _, depth_i, node_i in self.pairs
-                if value_of(depth_i) <= depth_k
+                bag & bags[k] <= bags[p]
+                for i, (depth, bag) in enumerate(zip(depths, bags))
+                if i != k and depth <= depths[k]
             )
+            for k, p in enumerate(parents, 1)
         )
 
 

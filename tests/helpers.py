@@ -194,21 +194,24 @@ def random_constraint_instance(rng: random.Random) -> Solver:
         tighten_randomly(s, rng)
         s.post(UnionEquals(edge_sets, (1 << size) - 1))
     elif kind == 4:
-        # deeper trees than kind 5, with one-vertex sets: the depth rule
+        # deeper trees than kind 5, with one-vertex sets: the depth rule.
+        # Each node hangs from an earlier one, which keeps the
+        # enumeration small at four nodes.
         size = rng.randint(2, 4)
         depths = [s.int_var(0, size - 1) for _ in range(size)]
-        parent = s.int_var(0, size - 1)
+        parents = [s.int_var(0, max(k - 1, 0)) for k in range(size)]
         nodes = [s.set_var(1) for _ in range(size)]
         tighten_randomly(s, rng)
-        s.post(RunningIntersection(rng.randrange(size), depths, parent, nodes))
+        s.post(RunningIntersection(depths, parents, nodes))
     elif kind == 5:
         nodes_n = 3
-        k = rng.randrange(nodes_n)
         depths = [s.int_var(0, nodes_n - 1) for _ in range(nodes_n)]
-        parent_k = s.int_var(0, nodes_n - 1)
+        parents = [s.int_var(0, 0)] + [s.int_var(0, nodes_n - 1) for _ in range(1, nodes_n)]
+        for k in range(1, nodes_n):
+            parents[k].remove(k)
         nodes = [s.set_var(2) for _ in range(nodes_n)]
         tighten_randomly(s, rng)
-        s.post(RunningIntersection(k, depths, parent_k, nodes, smooth=rng.random() < 0.5))
+        s.post(RunningIntersection(depths, parents, nodes, smooth=rng.random() < 0.5))
     elif kind == 6:
         # a path's node sets, in path order
         size = rng.randint(2, 3)

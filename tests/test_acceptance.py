@@ -113,24 +113,63 @@ def _draw(seed: int, p: float, index: int) -> Graph:
 
 
 # Seeded G(9, p) draws (0-based) whose schedules each search a gap step,
-# lb < w < ub: answers that no bound or greedy order settles.
+# lb < w < ub: answers that no bound or greedy order settles. Each draw
+# maps to its searched step (m, w, status, decisions, fails).
 N9_GAP_GRAPHS = [
-    pytest.param(solve, brute, seed, p, index, id=f"{solve.__name__}-{seed}-{index}")
-    for solve, brute, seed, p, indices in (
-        (treewidth, brute_treewidth, 907, 0.7, (17, 64, 72, 95, 99)),
-        (pathwidth, brute_pathwidth, 903, 0.3, (14, 73, 92)),
-        (pathwidth, brute_pathwidth, 905, 0.5, (48, 81, 84)),
+    pytest.param(solve, brute, seed, p, index, step, id=f"{solve.__name__}-{seed}-{index}")
+    for solve, brute, seed, p, steps in (
+        (
+            treewidth,
+            brute_treewidth,
+            907,
+            0.7,
+            {
+                17: (4, 6, "UNSAT", 11054, 5528),
+                64: (4, 6, "UNSAT", 12840, 6421),
+                72: (4, 6, "UNSAT", 8652, 4327),
+                95: (4, 6, "UNSAT", 10870, 5436),
+                99: (4, 6, "UNSAT", 10310, 5156),
+            },
+        ),
+        (
+            pathwidth,
+            brute_pathwidth,
+            903,
+            0.3,
+            {
+                14: (8, 2, "UNSAT", 964, 483),
+                73: (7, 3, "UNSAT", 7782, 3892),
+                92: (8, 2, "UNSAT", 910, 456),
+            },
+        ),
+        (
+            pathwidth,
+            brute_pathwidth,
+            905,
+            0.5,
+            {
+                48: (4, 6, "UNSAT", 3264, 1633),
+                81: (6, 4, "UNSAT", 9594, 4798),
+                84: (5, 5, "UNSAT", 12052, 6027),
+            },
+        ),
     )
-    for index in indices
+    for index, step in steps.items()
 ]
 
 
-@pytest.mark.parametrize("solve, brute, seed, p, index", N9_GAP_GRAPHS)
-def test_searched_gap_steps_at_n9_match_the_oracle(solve, brute, seed, p, index):
+@pytest.mark.parametrize("solve, brute, seed, p, index, step", N9_GAP_GRAPHS)
+def test_searched_gap_steps_at_n9_match_the_oracle(solve, brute, seed, p, index, step):
     g = _draw(seed, p, index)
     result = solve(g)
     assert result.min_width == brute(g).width, g.edges
     assert validate(g, result.witness, expect_w=result.min_width) == []
+    searched = [
+        (s.m, s.w, s.status.value, s.report.decisions, s.report.fails)
+        for s in result.trace
+        if s.bound is None and not s.confirmed
+    ]
+    assert searched == [step]
 
 
 def test_criterion_4_known_families():

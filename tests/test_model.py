@@ -52,10 +52,11 @@ def test_size_formulas(m):
     assert len(mi.solver.set_vars) == 2 * m
     assert len(mi.solver.int_vars) == 2 * m  # parents and depths
     assert lex_count(mi) == m - 1
-    # per node: cardinality and the edge channel; per child node:
-    # running intersection, lex; the union of the node sets and the
+    # per node: cardinality and the edge channel; per child node: lex;
+    # one running intersection, the union of the node sets and the
     # union of the edge sets
-    assert len(mi.solver.propagators) == 2 * m + 2 * (m - 1) + 2
+    assert len(mi.solver.propagators) == 2 * m + (m - 1) + 3
+    assert [type(p) for p in mi.solver.propagators].count(RunningIntersection) == 1
     assert mi.decision_vars == mi.parents + mi.edge_sets
 
 
@@ -67,7 +68,7 @@ def test_path_variant_lex_is_reversal_only():
 
 @pytest.mark.parametrize("smooth", [False, True])
 def test_path_size_formulas(smooth):
-    # no depths, and one chain instead of a running intersection per child
+    # no depths, and one chain instead of the tree's running intersection
     g = random_graph(5, 0.5, random.Random(3))
     mi = build_model(g, m=4, w=2, variant=Variant.PATH, smooth=smooth)
     assert mi.depths == []
@@ -84,14 +85,14 @@ def _watcher_entries(solver):
     )
 
 
-def test_path_models_grow_linearly_in_m():
-    # a tree model subscribes each child's running intersection to every
-    # node, so it grows as m^2; the path chain subscribes once per node
+def test_models_grow_linearly_in_m():
+    # the tree's running intersection and the path chain each subscribe
+    # once per variable, so every variable has a constant number of
+    # watchers: 13 per node on a tree, 9 on a path
     g = path_graph(3)
-    for m in (10, 100, 400):
-        mi = build_model(g, m=m, w=2, variant=Variant.PATH)
-        assert _watcher_entries(mi.solver) < 10 * m
-    assert _watcher_entries(build_model(g, m=10, w=2).solver) > 10 * 10
+    for variant, m in itertools.product(Variant, (10, 100, 400)):
+        mi = build_model(g, m=m, w=2, variant=variant)
+        assert _watcher_entries(mi.solver) < 15 * m, (variant, m)
 
 
 def test_build_rejects_degenerate_inputs():

@@ -211,68 +211,77 @@ def test_union_of_edge_sets_places_every_edge():
 
 
 def _running_intersection_setup(size=3):
-    # child node k = 1 and node i = 0; every other node may be the parent
+    # node 0 is the root; the tests read the rules of child node k = 1
+    # against node i = 0. Every node but a child itself may be its parent.
     s = Solver()
     depths = [s.int_var(0, size - 1) for _ in range(size)]
-    parent_k = s.int_var(0, size - 1)
-    parent_k.remove(1)
+    parents = [s.int_var(0, 0)] + [s.int_var(0, size - 1) for _ in range(1, size)]
+    for k in range(1, size):
+        parents[k].remove(k)
     nodes = [s.set_var(3) for _ in range(size)]
-    prop = RunningIntersection(1, depths, parent_k, nodes)
-    return s, depths, parent_k, nodes, prop
+    prop = RunningIntersection(depths, parents, nodes)
+    return s, depths, parents, nodes, prop
 
 
 def test_running_intersection_fixes_child_depth():
     # no node set requires anything, so only the depth rule can prune
-    s, depths, parent, _, prop = _running_intersection_setup()
+    s, depths, parents, _, prop = _running_intersection_setup()
     depths[0].assign(0)
-    parent.assign(0)
+    parents[1].assign(0)
     s.post(prop)
     assert s.propagate()
     assert depths[1].value() == 1
+    # and the parent's depth from the child's
+    s, depths, parents, _, prop = _running_intersection_setup()
+    depths[1].assign(2)
+    parents[1].assign(0)
+    s.post(prop)
+    assert s.propagate()
+    assert depths[0].value() == 1
 
 
 def test_running_intersection_removes_parents_at_wrong_depth():
-    s, depths, parent, _, prop = _running_intersection_setup(5)
+    s, depths, parents, _, prop = _running_intersection_setup(5)
     depths[1].intersect(0b00010)  # depth 1
     depths[3].intersect(0b11000)  # depths 3..4
     s.post(prop)
     assert s.propagate()
-    assert parent.domain() == [0, 2, 4]
+    assert parents[1].domain() == [0, 2, 4]
 
 
 def test_running_intersection_keeps_parents_at_right_depth():
-    s, depths, parent, _, prop = _running_intersection_setup()
+    s, _, parents, _, prop = _running_intersection_setup()
     before = snapshot(s)
     s.post(prop)
     assert s.propagate()
-    assert parent.domain() == [0, 2]
+    assert parents[1].domain() == [0, 2]
     assert snapshot(s) == before
 
 
 def test_running_intersection_satisfied_needs_child_below_parent():
     # node 1 hangs from node 0 and shares vertex 0 with it, which node 0
     # holds: the node sets meet the running intersection either way
-    s, depths, parent, nodes, prop = _running_intersection_setup(2)
-    value = {parent: 0, depths[0]: 0, nodes[0]: frozenset({0}), nodes[1]: frozenset({0})}
+    s, depths, parents, nodes, prop = _running_intersection_setup(2)
+    value = {parents[1]: 0, depths[0]: 0, nodes[0]: frozenset({0}), nodes[1]: frozenset({0})}
     assert prop.satisfied({**value, depths[1]: 1}.__getitem__)
     assert not prop.satisfied({**value, depths[1]: 0}.__getitem__)
 
 
 def test_running_intersection_prunes_parent_candidates():
-    s, (depth_i, depth_k, _), parent_k, nodes, prop = _running_intersection_setup()
+    s, (depth_i, depth_k, _), parents, nodes, prop = _running_intersection_setup()
     depth_i.assign(0)  # guard certainly true
     nodes[0].require_mask(0b100)
     nodes[1].require_mask(0b100)  # vertex 2 shared by nodes 0 and 1
     nodes[2].restrict(0b011)  # vertex 2 impossible in node 2
     s.post(prop)
     assert s.propagate()
-    assert not parent_k.contains(2)
+    assert not parents[1].contains(2)
 
 
 def test_running_intersection_enforces_subset_when_parent_fixed():
-    s, (depth_i, depth_k, _), parent_k, nodes, prop = _running_intersection_setup()
+    s, (depth_i, depth_k, _), parents, nodes, prop = _running_intersection_setup()
     depth_i.assign(0)
-    parent_k.assign(2)
+    parents[1].assign(2)
     nodes[0].require_mask(0b001)
     nodes[1].require_mask(0b001)
     s.post(prop)
@@ -283,9 +292,9 @@ def test_running_intersection_enforces_subset_when_parent_fixed():
 def test_running_intersection_back_prunes_once_parent_fixed():
     # a vertex that one node requires and the fixed parent cannot hold
     # must leave the other node, although nothing is shared yet
-    s, (depth_i, depth_k, _), parent_k, nodes, prop = _running_intersection_setup()
+    s, (depth_i, depth_k, _), parents, nodes, prop = _running_intersection_setup()
     depth_i.assign(0)
-    parent_k.assign(2)
+    parents[1].assign(2)
     nodes[1].require_mask(0b100)
     nodes[0].require_mask(0b010)
     nodes[2].restrict(0b001)
@@ -297,14 +306,18 @@ def test_running_intersection_back_prunes_once_parent_fixed():
 
 
 def test_running_intersection_idle_when_guard_false():
-    s, (depth_i, depth_k, depth_p), parent_k, nodes, prop = _running_intersection_setup()
-    depth_i.intersect(0b100)  # depth 2
-    depth_k.intersect(0b010)  # depth 1, under its parent at depth 0
-    depth_p.assign(0)
-    parent_k.assign(2)
-    nodes[0].require_mask(0b111)
+    # node 2 hangs from child node 1 and both hold every vertex; node
+    # 1's parent, the root, can hold none, so the pair (k = 1, i = 2)
+    # would fail under a true guard
+    s, (depth_r, depth_k, depth_i), parents, nodes, prop = _running_intersection_setup()
+    depth_r.assign(0)
+    depth_k.assign(1)
+    depth_i.assign(2)
+    parents[1].assign(0)
+    parents[2].assign(1)
     nodes[1].require_mask(0b111)
-    nodes[2].restrict(0)  # would fail under a true guard
+    nodes[2].require_mask(0b111)
+    nodes[0].restrict(0)
     before = snapshot(s)
     s.post(prop)
     assert s.propagate()
@@ -312,54 +325,56 @@ def test_running_intersection_idle_when_guard_false():
 
 
 def test_running_intersection_forces_guard_negation():
-    s, (depth_i, depth_k, _), parent_k, nodes, prop = _running_intersection_setup()
-    parent_k.assign(2)
-    nodes[0].require_mask(0b001)
+    # child k = 1 shares vertex 0 with node i = 2, and neither of its
+    # candidate parents, nodes 0 and 3, can hold it
+    s, depths, parents, nodes, prop = _running_intersection_setup(4)
+    depth_k, depth_i = depths[1], depths[2]
+    parents[1].intersect(0b1001)
     nodes[1].require_mask(0b001)
-    nodes[2].restrict(0b110)  # the parent may not take vertex 0
+    nodes[2].require_mask(0b001)
+    nodes[0].restrict(0b110)
+    nodes[3].restrict(0b110)
     s.post(prop)
     assert s.propagate()
     # bound-level consequence of depth_i > depth_k
     assert not depth_i.contains(0)
-    assert not depth_k.contains(2)
+    assert not depth_k.contains(3)
     assert depth_i.min() > depth_k.min()
     assert depth_k.max() < depth_i.max()
 
 
 def test_running_intersection_covers_every_other_node():
-    # child k = 2 with two other nodes: node 0 (guard true) removes
-    # parent 1, which fixes the parent; node 1 (guard true) then has its
-    # shared vertex pushed into node 0
-    s = Solver()
-    depths = [s.int_var(0, 2) for _ in range(3)]
-    parent_k = s.int_var(0, 1)
-    nodes = [s.set_var(3) for _ in range(3)]
-    depths[0].assign(0)
-    depths[1].assign(0)
-    depths[2].assign(1)
-    nodes[0].require_mask(0b100)
-    nodes[1].require_mask(0b010)
-    nodes[2].require_mask(0b110)
-    nodes[1].restrict(0b011)
-    s.post(RunningIntersection(2, depths, parent_k, nodes))
+    # child k = 3 with two other nodes at depth 1: node 1 (guard true)
+    # removes parent 2, which fixes the parent; node 2 (guard true) then
+    # has its shared vertex pushed into node 1
+    s, depths, parents, nodes, prop = _running_intersection_setup(4)
+    for depth, d in zip(depths, (0, 1, 1, 2)):
+        depth.assign(d)
+    nodes[1].require_mask(0b100)
+    nodes[2].require_mask(0b010)
+    nodes[3].require_mask(0b110)
+    nodes[2].restrict(0b011)
+    s.post(prop)
     assert s.propagate()
-    assert parent_k.value() == 0
-    assert nodes[0].required == 0b110
+    assert parents[3].value() == 1
+    assert nodes[1].required == 0b110
+    # and every child's parent: nodes 1 and 2 hang from the root
+    assert [p.value() for p in parents] == [0, 0, 0, 1]
     with pytest.raises(ValueError):
-        RunningIntersection(3, depths, parent_k, nodes)
+        RunningIntersection(depths, parents[:3], nodes)
 
 
 def test_running_intersection_smooth_drops_parents():
     # child k = 1 requires vertex 0; each candidate parent fails one of
     # the four smooth-step tests, except node 2
     def drops(tighten):
-        s, depths, parent_k, nodes, _ = _running_intersection_setup(4)
+        s, depths, parents, nodes, _ = _running_intersection_setup(4)
         for d in depths:
             d.intersect(0b11)
         depths[1].assign(1)
         tighten(nodes)
-        s.post(RunningIntersection(1, depths, parent_k, nodes, smooth=True))
-        return s.propagate(), parent_k.domain()
+        s.post(RunningIntersection(depths, parents, nodes, smooth=True))
+        return s.propagate(), parents[1].domain()
 
     def child_needs_two(nodes):  # node 0 cannot hold two vertices node 1 requires
         nodes[1].require_mask(0b011)
@@ -385,33 +400,33 @@ def test_running_intersection_smooth_drops_parents():
 def test_running_intersection_smooth_step_once_parent_fixed():
     # node 1 holds vertex 2, which parent node 0 cannot: every other
     # vertex of node 1 must be possible in node 0, and the reverse
-    s, depths, parent_k, nodes, _ = _running_intersection_setup(3)
-    parent_k.assign(0)
+    s, depths, parents, nodes, _ = _running_intersection_setup(3)
+    parents[1].assign(0)
     nodes[1].require_mask(0b100)
     nodes[0].restrict(0b011)
     nodes[0].require_mask(0b001)
     nodes[1].restrict(0b110)
-    s.post(RunningIntersection(1, depths, parent_k, nodes, smooth=True))
+    s.post(RunningIntersection(depths, parents, nodes, smooth=True))
     assert s.propagate()
     assert nodes[1].possible == 0b110 and nodes[0].possible == 0b011
     nodes[0].exclude(1)  # so node 1 may hold vertex 2 alone
     assert s.propagate()
     assert nodes[1].possible == 0b100
-    s2, depths2, parent2, nodes2, _ = _running_intersection_setup(3)
-    parent2.assign(0)
+    s2, depths2, parents2, nodes2, _ = _running_intersection_setup(3)
+    parents2[1].assign(0)
     nodes2[1].require_mask(0b011)
     nodes2[0].restrict(0b100)
-    s2.post(RunningIntersection(1, depths2, parent2, nodes2, smooth=True))
+    s2.post(RunningIntersection(depths2, parents2, nodes2, smooth=True))
     assert not s2.propagate()
 
 
 def test_running_intersection_smooth_satisfied():
-    s, depths, parent, nodes, _ = _running_intersection_setup(2)
-    prop = RunningIntersection(1, depths, parent, nodes, smooth=True)
+    s, depths, parents, nodes, _ = _running_intersection_setup(2)
+    prop = RunningIntersection(depths, parents, nodes, smooth=True)
 
     def value(parent_bag, child_bag):
         bags = {nodes[0]: frozenset(parent_bag), nodes[1]: frozenset(child_bag)}
-        return {parent: 0, depths[0]: 0, depths[1]: 1, **bags}.__getitem__
+        return {parents[1]: 0, depths[0]: 0, depths[1]: 1, **bags}.__getitem__
 
     assert prop.satisfied(value({0, 1}, {1, 2}))
     assert not prop.satisfied(value({0}, {0, 1}))  # the child keeps all of its parent
@@ -510,7 +525,7 @@ def test_chain_satisfied_needs_contiguous_and_smooth_nodes():
 
 def test_chain_prunes_at_least_what_the_pairwise_rule_does():
     # on a path, with parents and depths fixed, the chain's fixpoint
-    # contains the one of a RunningIntersection per child node
+    # contains the one of the pairwise RunningIntersection rules
     rng = random.Random(77)
     for _ in range(300):
         m = rng.randint(2, 4)
@@ -520,12 +535,11 @@ def test_chain_prunes_at_least_what_the_pairwise_rule_does():
         chain.post(PathIntersection(chain_nodes))
         pairwise = Solver()
         depths = [pairwise.int_var(i, i) for i in range(m)]
+        parents = [pairwise.int_var(max(i - 1, 0), max(i - 1, 0)) for i in range(m)]
         nodes = [pairwise.set_var(3) for _ in range(m)]
         for x, y in zip(nodes, chain_nodes):
             x.required, x.possible = y.required, y.possible
-        for k in range(1, m):
-            parent = pairwise.int_var(k - 1, k - 1)
-            pairwise.post(RunningIntersection(k, depths, parent, nodes))
+        pairwise.post(RunningIntersection(depths, parents, nodes))
         if not pairwise.propagate():
             assert not chain.propagate()
         elif chain.propagate():
