@@ -196,10 +196,13 @@ def random_constraint_instance(rng: random.Random) -> Solver:
     elif kind == 4:
         # deeper trees than kind 5, with one-vertex sets: the depth rule.
         # Each node hangs from an earlier one, which keeps the
-        # enumeration small at four nodes.
+        # enumeration small at four nodes, except one child whose parent
+        # may be any other node, a later one included.
         size = rng.randint(2, 4)
+        free = rng.randrange(1, size)
         depths = [s.int_var(0, size - 1) for _ in range(size)]
-        parents = [s.int_var(0, max(k - 1, 0)) for k in range(size)]
+        parents = [s.int_var(0, size - 1 if k == free else max(k - 1, 0)) for k in range(size)]
+        parents[free].remove(free)
         nodes = [s.set_var(1) for _ in range(size)]
         tighten_randomly(s, rng)
         s.post(RunningIntersection(depths, parents, nodes))
