@@ -38,7 +38,7 @@ def _load(path: str, parse):
     try:
         text = Path(path).read_text()
     except OSError as exc:
-        raise ParseError(0, f"cannot read {path}: {exc}") from None
+        raise ValueError(f"cannot read {path}: {exc.strerror or exc}") from None
     try:
         return parse(text)
     except ParseError as exc:
@@ -68,11 +68,18 @@ def _bounds_line(outcome) -> str:
     return f"bounds lb={outcome.lb} ub={'none' if outcome.ub is None else outcome.ub}"
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def _write_outputs(args, g, td) -> None:
     if getattr(args, "td_output", None):
-        Path(args.td_output).write_text(write_td(td, g))
+        _write(args.td_output, write_td(td, g))
     if getattr(args, "dot_output", None):
-        Path(args.dot_output).write_text(export_dot(g, td))
+        _write(args.dot_output, export_dot(g, td))
 
 
 def _check_limits(args) -> None:
@@ -172,7 +179,7 @@ def _cmd_export_dot(args) -> int:
     td = _load(args.td, parse_td) if args.td else None
     dot = export_dot(g, td)
     if args.output:
-        Path(args.output).write_text(dot)
+        _write(args.output, dot)
     else:
         print(dot, end="")
     return EXIT_OK
@@ -251,10 +258,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except (ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError) as exc:  # ParseError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except KeyboardInterrupt:

@@ -91,6 +91,10 @@ class ScheduleStep:
     decisions, propagations or fails. A ``confirmed`` step is SAT by
     the greedy order's decomposition, which one propagation of the
     model accepted; its report counts no decisions or fails.
+
+    A schedule step keeps the decomposition in ``witness`` and the
+    counts in ``report``, whose ``witness``, the model's assignment
+    keyed by its (unlinked) variables, only ``decide`` hands out.
     """
 
     m: int
@@ -158,32 +162,35 @@ def decide(
     mi = build_model(
         g, m, w, variant=variant, symmetry_breaking=symmetry_breaking, smooth=smooth
     )
-    if confirm is None:
-        report = mi.solver.solve(
-            decision_vars=mi.decision_vars, decision_limit=decision_limit, timeout=timeout
-        )
-    else:
-        start = time.perf_counter()
-        found = mi.solver.check(encode_decomposition(mi, confirm))
-        if found is None:
-            raise RuntimeError(
-                f"step (m={m}, w={w}): the model rejects the decomposition to confirm"
+    try:
+        if confirm is None:
+            report = mi.solver.solve(
+                decision_vars=mi.decision_vars, decision_limit=decision_limit, timeout=timeout
             )
-        report = SolveReport(
-            Status.SAT, found, 0, mi.solver.propagations, 0, time.perf_counter() - start
-        )
-    witness = None
-    if report.status is Status.SAT:
-        td = extract_decomposition(mi, report.witness)
-        violations = validate(
-            g, td, expect_m=m, expect_w=w, expect_path=variant is Variant.PATH
-        )
-        if violations:
-            raise RuntimeError(
-                "solver returned an invalid decomposition: "
-                + "; ".join(str(v) for v in violations)
+        else:
+            start = time.perf_counter()
+            found = mi.solver.check(encode_decomposition(mi, confirm))
+            if found is None:
+                raise RuntimeError(
+                    f"step (m={m}, w={w}): the model rejects the decomposition to confirm"
+                )
+            report = SolveReport(
+                Status.SAT, found, 0, mi.solver.propagations, 0, time.perf_counter() - start
             )
-        witness = td
+        witness = None
+        if report.status is Status.SAT:
+            td = extract_decomposition(mi, report.witness)
+            violations = validate(
+                g, td, expect_m=m, expect_w=w, expect_path=variant is Variant.PATH
+            )
+            if violations:
+                raise RuntimeError(
+                    "solver returned an invalid decomposition: "
+                    + "; ".join(str(v) for v in violations)
+                )
+            witness = td
+    finally:
+        mi.solver.unlink()
     return ScheduleStep(m, w, report.status, report, witness, confirmed=confirm is not None)
 
 
@@ -509,6 +516,7 @@ def _run_schedule(
                 confirm=confirm,
                 smooth=confirm is None,
             )
+            step.report.witness = None  # step.witness keeps the decomposition
             trace.append(step)
             if step.status is Status.UNSAT:
                 break

@@ -8,6 +8,10 @@ variable holds one mask (its current domain); a set variable holds two
 yet excluded), each with its own watcher list, so a propagator that
 reads only one bound is not woken by changes to the other. All engine
 iteration is in ascending value order, which makes runs deterministic.
+
+A model is a reference cycle until ``Solver.unlink`` ends it: its
+propagators and solver are then freed at once, not by the cyclic
+collector, and its variables keep their values.
 """
 
 from __future__ import annotations
@@ -240,7 +244,8 @@ class Solver:
     """Owns variables, propagators, trail, and search state.
 
     Single-threaded during search; independent instances do not share
-    anything and may run concurrently.
+    anything and may run concurrently. ``unlink`` ends a decided model:
+    its variables keep their masks, so a witness handed out still reads.
     """
 
     def __init__(self) -> None:
@@ -476,3 +481,14 @@ class Solver:
         filtering code.
         """
         return all(prop.satisfied(witness.__getitem__) for prop in self.propagators)
+
+    def unlink(self) -> None:
+        """Break the model's reference cycles: empty every watcher list,
+        the variable and propagator lists, the trail and the queue."""
+        for var in self.int_vars:
+            var.watchers.clear()
+        for svar in self.set_vars:
+            svar.required_watchers.clear()
+            svar.possible_watchers.clear()
+        for held in (self.int_vars, self.set_vars, self.propagators, self._trail, self._queue):
+            held.clear()

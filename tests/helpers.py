@@ -42,6 +42,14 @@ def random_graph(n, p, rng):
     return Graph.from_edges(n, edges)
 
 
+def draw_n9(seed, p, index):
+    """Draw ``index`` (0-based) of G(9, p) from random.Random(seed)."""
+    rng = random.Random(seed)
+    for _ in range(index):
+        random_graph(9, p, rng)
+    return random_graph(9, p, rng)
+
+
 def random_connected_graph(n, edge_count, rng):
     pairs = list(itertools.combinations(range(n), 2))
     while True:

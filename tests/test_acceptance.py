@@ -18,6 +18,7 @@ from helpers import (
     all_labeled_graphs,
     complete_graph,
     cycle_graph,
+    draw_n9,
     edgeless_graph,
     random_connected_graph,
     random_constraint_instance,
@@ -105,13 +106,6 @@ def test_criterion_3_pathwidth_equivalence():
     print(f"criterion 3 PASS: pathwidth matches the subset oracle on {count} graphs")
 
 
-def _draw(seed: int, p: float, index: int) -> Graph:
-    rng = random.Random(seed)
-    for _ in range(index):
-        random_graph(9, p, rng)
-    return random_graph(9, p, rng)
-
-
 # Seeded G(9, p) draws (0-based) whose schedules each search a gap step,
 # lb < w < ub: answers that no bound or greedy order settles. Each draw
 # maps to its searched step (m, w, status, decisions, fails).
@@ -160,7 +154,7 @@ N9_GAP_GRAPHS = [
 
 @pytest.mark.parametrize("solve, brute, seed, p, index, step", N9_GAP_GRAPHS)
 def test_searched_gap_steps_at_n9_match_the_oracle(solve, brute, seed, p, index, step):
-    g = _draw(seed, p, index)
+    g = draw_n9(seed, p, index)
     result = solve(g)
     assert result.min_width == brute(g).width, g.edges
     assert validate(g, result.witness, expect_w=result.min_width) == []

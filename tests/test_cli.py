@@ -180,7 +180,26 @@ def test_oversized_header_is_error(tmp_path, capsys):
 
 def test_missing_file_is_error(capsys):
     assert main(["treewidth", "/nonexistent/file.gr"]) == 1
-    assert "error" in capsys.readouterr().err
+    # an I/O error has no line to point at
+    assert capsys.readouterr().err.startswith("error: cannot read /nonexistent/file.gr: ")
+
+
+@pytest.mark.parametrize(
+    "argv, out",
+    [
+        (["treewidth", "--td-output"], "treewidth=1\n"),
+        (["decide", "--m", "2", "--w", "2", "--td-output"], "SAT\n"),
+        (["pathwidth", "--dot-output"], "pathwidth=1\n"),
+        (["export-dot", "-o"], ""),
+    ],
+)
+def test_unwritable_output_is_one_error_line(argv, out, p3, tmp_path, capsys):
+    target = str(tmp_path / "missing" / "out")
+    command, *flags = argv
+    assert main([command, p3, *flags, target]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.endswith(out)
+    assert captured.err == f"error: cannot write {target}: No such file or directory\n"
 
 
 @pytest.mark.parametrize("command", ["validate", "export-dot"])
