@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from pathlib import Path
 
 from .driver import ScheduleInterrupted, SearchLimitExceeded, decide, pathwidth, treewidth
 from .engine import Status
@@ -36,9 +35,12 @@ class _Parser(argparse.ArgumentParser):
 
 def _load(path: str, parse):
     try:
-        text = Path(path).read_text()
+        with open(path, encoding="utf-8") as file:
+            text = file.read()
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"cannot read {path}: {exc}") from None
     try:
         return parse(text)
     except ParseError as exc:
@@ -70,7 +72,8 @@ def _bounds_line(outcome) -> str:
 
 def _write(path: str, text: str) -> None:
     try:
-        Path(path).write_text(text)
+        with open(path, "w", encoding="utf-8") as file:
+            file.write(text)
     except OSError as exc:
         raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from None
 

@@ -45,7 +45,6 @@ order's decomposition may have nodes of fewer than w vertices.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 
 from .engine import SolveReport, Status, bits_of
 from .graphs import Graph, TreeDecomposition
@@ -80,7 +79,6 @@ class ScheduleInterrupted(KeyboardInterrupt):
         super().__init__("schedule interrupted")
 
 
-@dataclass
 class ScheduleStep:
     """One (m, w) instance of a schedule.
 
@@ -97,16 +95,27 @@ class ScheduleStep:
     keyed by its (unlinked) variables, only ``decide`` hands out.
     """
 
-    m: int
-    w: int
-    status: Status
-    report: SolveReport
-    witness: TreeDecomposition | None
-    bound: tuple[frozenset[int], ...] | None = None
-    confirmed: bool = False
+    __slots__ = ("m", "w", "status", "report", "witness", "bound", "confirmed")
+
+    def __init__(
+        self,
+        m: int,
+        w: int,
+        status: Status,
+        report: SolveReport,
+        witness: TreeDecomposition | None,
+        bound: tuple[frozenset[int], ...] | None = None,
+        confirmed: bool = False,
+    ) -> None:
+        self.m = m
+        self.w = w
+        self.status = status
+        self.report = report
+        self.witness = witness
+        self.bound = bound
+        self.confirmed = confirmed
 
 
-@dataclass
 class WidthResult:
     """Outcome of a full schedule.
 
@@ -118,12 +127,23 @@ class WidthResult:
     lb < min_width <= ub.
     """
 
-    min_width: int
-    witness: TreeDecomposition
-    trace: list[ScheduleStep]
-    variant: Variant
-    lb: int
-    ub: int | None
+    __slots__ = ("min_width", "witness", "trace", "variant", "lb", "ub")
+
+    def __init__(
+        self,
+        min_width: int,
+        witness: TreeDecomposition,
+        trace: list[ScheduleStep],
+        variant: Variant,
+        lb: int,
+        ub: int | None,
+    ) -> None:
+        self.min_width = min_width
+        self.witness = witness
+        self.trace = trace
+        self.variant = variant
+        self.lb = lb
+        self.ub = ub
 
     @property
     def treewidth(self) -> int:

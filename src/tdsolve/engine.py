@@ -18,9 +18,8 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from dataclasses import dataclass
+from collections.abc import Iterable
 from enum import Enum
-from typing import Iterable, Optional
 
 
 class Inconsistent(Exception):
@@ -230,14 +229,24 @@ class Status(Enum):
     INDETERMINATE = "INDETERMINATE"
 
 
-@dataclass
 class SolveReport:
-    status: Status
-    witness: Optional[dict]  # var -> int (IntVar) or frozenset (SetVar)
-    decisions: int
-    propagations: int
-    fails: int
-    elapsed: float
+    __slots__ = ("status", "witness", "decisions", "propagations", "fails", "elapsed")
+
+    def __init__(
+        self,
+        status: Status,
+        witness: dict | None,  # var -> int (IntVar) or frozenset (SetVar)
+        decisions: int,
+        propagations: int,
+        fails: int,
+        elapsed: float,
+    ) -> None:
+        self.status = status
+        self.witness = witness
+        self.decisions = decisions
+        self.propagations = propagations
+        self.fails = fails
+        self.elapsed = elapsed
 
 
 class Solver:
@@ -323,9 +332,9 @@ class Solver:
 
     def solve(
         self,
-        decision_vars: Optional[list[IntVar | SetVar]] = None,
-        decision_limit: Optional[int] = None,
-        timeout: Optional[float] = None,
+        decision_vars: list[IntVar | SetVar] | None = None,
+        decision_limit: int | None = None,
+        timeout: float | None = None,
     ) -> SolveReport:
         """Depth-first search with propagation to fixpoint at every node.
 
@@ -432,7 +441,7 @@ class Solver:
         else:
             var.exclude(v)
 
-    def check(self, values: dict) -> Optional[dict]:
+    def check(self, values: dict) -> dict | None:
         """Confirm a full assignment with one pass of every propagator
         instead of a search.
 

@@ -2,20 +2,20 @@
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
-from typing import Iterable
+from collections import deque, namedtuple
+from collections.abc import Iterable
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(namedtuple("Graph", ("n", "edges", "adjacency"))):
     """Simple undirected graph on vertices 0..n-1.
 
     Edges are normalized: stored once as (u, v) with u < v, sorted
     ascending, no self-loops, no duplicates. ``adjacency[v]`` is the
     neighbor set of v. Build instances with :meth:`from_edges`.
+    An immutable record: equal and hashed by its fields.
     """
 
+    __slots__ = ()
     n: int
     edges: tuple[tuple[int, int], ...]
     adjacency: tuple[frozenset[int], ...]
@@ -50,8 +50,7 @@ class Graph:
         return len(self.adjacency[v])
 
 
-@dataclass(frozen=True)
-class TreeDecomposition:
+class TreeDecomposition(namedtuple("TreeDecomposition", ("nodes", "parent"))):
     """Rooted tree of vertex sets, in parent-pointer form.
 
     Node 0 is the root, ``parent[0] == 0``, and for a well-formed
@@ -60,6 +59,7 @@ class TreeDecomposition:
     it); use :meth:`from_parents` to build a shape-checked instance.
     """
 
+    __slots__ = ()
     nodes: tuple[frozenset[int], ...]
     parent: tuple[int, ...]
 

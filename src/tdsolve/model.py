@@ -23,7 +23,6 @@ only node symmetry is reversal).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 from . import propagators as props
@@ -36,19 +35,46 @@ class Variant(Enum):
     PATH = "path"
 
 
-@dataclass
 class ModelInstance:
-    g: Graph
-    m: int
-    w: int
-    variant: Variant
-    solver: Solver
-    node_sets: list[SetVar]
-    parents: list[IntVar]
-    depths: list[IntVar]  # empty on a path
-    edge_sets: list[SetVar]  # per node, over the indices of g.edges
-    incident: list[int]  # per vertex, the mask of the edges at it
-    decision_vars: list[IntVar | SetVar]
+    __slots__ = (
+        "g",
+        "m",
+        "w",
+        "variant",
+        "solver",
+        "node_sets",
+        "parents",
+        "depths",
+        "edge_sets",
+        "incident",
+        "decision_vars",
+    )
+
+    def __init__(
+        self,
+        g: Graph,
+        m: int,
+        w: int,
+        variant: Variant,
+        solver: Solver,
+        node_sets: list[SetVar],
+        parents: list[IntVar],
+        depths: list[IntVar],  # empty on a path
+        edge_sets: list[SetVar],  # per node, over the indices of g.edges
+        incident: list[int],  # per vertex, the mask of the edges at it
+        decision_vars: list[IntVar | SetVar],
+    ) -> None:
+        self.g = g
+        self.m = m
+        self.w = w
+        self.variant = variant
+        self.solver = solver
+        self.node_sets = node_sets
+        self.parents = parents
+        self.depths = depths
+        self.edge_sets = edge_sets
+        self.incident = incident
+        self.decision_vars = decision_vars
 
 
 def build_model(

@@ -29,9 +29,9 @@ engine, so these values can certify solver answers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterator, Sequence
 from itertools import combinations
-from typing import Iterator, Sequence
 
 from .graphs import Graph, TreeDecomposition
 
@@ -40,8 +40,8 @@ from .graphs import Graph, TreeDecomposition
 MAX_VERTICES = 16
 
 
-@dataclass(frozen=True)
-class OracleResult:
+class OracleResult(namedtuple("OracleResult", ("width", "order", "decomposition"))):
+    __slots__ = ()
     width: int  # minimum node cardinality; the conventional number is width - 1
     order: tuple[int, ...]
     decomposition: TreeDecomposition | None

@@ -19,10 +19,9 @@ parent pointers that are not such a tree.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
+from collections import deque, namedtuple
+from collections.abc import Iterable
 from enum import Enum
-from typing import Iterable
 
 from .graphs import Graph, TreeDecomposition
 
@@ -39,8 +38,10 @@ class ViolationKind(Enum):
     MINOR_DEGREE = "MINOR_DEGREE"
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(namedtuple("Violation", ("kind", "detail"))):
+    """One failed check, as an immutable record."""
+
+    __slots__ = ()
     kind: ViolationKind
     detail: str
 

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from tdsolve import cli, driver
@@ -356,3 +361,35 @@ def test_invalid_witness_is_error(p3, monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: solver returned an invalid decomposition")
+
+
+@pytest.mark.parametrize("command", ["treewidth", "validate"])
+def test_undecodable_input_names_the_file(command, p3, tmp_path, capsys):
+    bad = tmp_path / ("bad.gr" if command == "treewidth" else "bad.td")
+    bad.write_bytes(b"\xff\xfes td 1 2 2\nb 1 1 2\n")
+    argv = [command, str(bad)] if command == "treewidth" else [command, p3, str(bad)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot read {bad}: 'utf-8' codec can't decode byte 0xff")
+    assert captured.err.count("\n") == 1
+
+
+def test_import_loads_no_annotation_or_record_machinery():
+    # -S keeps site (and whatever it imports) out, so sys.modules shows
+    # what tdsolve itself pulls in
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = (
+        "import sys, tdsolve; "
+        "print(sorted(m for m in sys.modules if m.startswith('tdsolve'))); "
+        "import tdsolve.cli; "
+        "print(sorted({'dataclasses', 'inspect', 'typing', 'pathlib'} & set(sys.modules)))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    run = subprocess.run(
+        [sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    package, unwanted = run.stdout.splitlines()
+    modules = ["driver", "engine", "graphio", "graphs", "model", "propagators", "validator"]
+    assert package == str(["tdsolve"] + [f"tdsolve.{name}" for name in modules])
+    assert unwanted == "[]"

@@ -21,6 +21,7 @@ from helpers import (
 from tdsolve import driver
 from tdsolve.driver import (
     ScheduleInterrupted,
+    ScheduleStep,
     SearchLimitExceeded,
     bounds,
     decide,
@@ -29,7 +30,7 @@ from tdsolve.driver import (
 )
 from tdsolve.engine import Status
 from tdsolve.graphs import Graph, TreeDecomposition
-from tdsolve.model import Variant
+from tdsolve.model import Variant, build_model
 from tdsolve.oracle import brute_pathwidth, brute_treewidth
 from tdsolve.validator import validate
 
@@ -101,6 +102,16 @@ def test_schedule_invariants():
         # would have kept the next step satisfiable
         assert result.witness.width == result.min_width
         assert validate(g, result.witness) == []
+
+
+def test_schedule_records_hold_their_fields_in_slots():
+    g = path_graph(3)
+    result = treewidth(g)
+    report = result.trace[0].report
+    step = ScheduleStep(1, 3, Status.SAT, report, result.witness)
+    assert (step.bound, step.confirmed) == (None, False)
+    for record in (result, step, report, build_model(g, 2, 2)):
+        assert not hasattr(record, "__dict__")
 
 
 def test_pathwidth_examples():

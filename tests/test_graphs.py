@@ -51,3 +51,25 @@ def test_from_parents_rejects_broken_shapes():
         TreeDecomposition.from_parents([{0}, {1}], [0, 1])  # self-parent
     with pytest.raises(ValueError):
         TreeDecomposition.from_parents([{0}, {1}, {2}], [0, 2, 1])  # cycle
+
+
+def test_records_are_immutable_values():
+    g = Graph.from_edges(3, [(1, 0), (2, 1)])
+    assert g == Graph(
+        n=3,
+        edges=((0, 1), (1, 2)),
+        adjacency=(frozenset({1}), frozenset({0, 2}), frozenset({1})),
+    )
+    assert repr(g) == (
+        "Graph(n=3, edges=((0, 1), (1, 2)), "
+        "adjacency=(frozenset({1}), frozenset({0, 2}), frozenset({1})))"
+    )
+    td = TreeDecomposition(nodes=(frozenset({0, 1}), frozenset({1, 2})), parent=(0, 0))
+    assert repr(td) == "TreeDecomposition(nodes=(frozenset({0, 1}), frozenset({1, 2})), parent=(0, 0))"
+    assert td == TreeDecomposition.from_parents([{0, 1}, {1, 2}], [0, 0])
+    assert td != TreeDecomposition.from_parents([{1, 2}, {0, 1}], [0, 0])
+    assert hash(td) == hash(TreeDecomposition.from_parents([{0, 1}, {1, 2}], [0, 0]))
+    assert len({g, Graph.from_edges(3, [(0, 1), (1, 2)]), td}) == 2
+    for record, name in ((g, "n"), (g, "edges"), (td, "parent"), (td, "extra")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)

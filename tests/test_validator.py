@@ -107,6 +107,20 @@ def test_malformed_input_is_an_error_not_a_violation():
         validate(g, TreeDecomposition(nodes=(), parent=()))
 
 
+def test_violation_is_an_immutable_value():
+    violation = Violation(kind=ViolationKind.EDGE, detail="edge (0, 1) is inside no node")
+    assert repr(violation) == (
+        "Violation(kind=<ViolationKind.EDGE: 'EDGE'>, detail='edge (0, 1) is inside no node')"
+    )
+    assert str(violation) == "EDGE: edge (0, 1) is inside no node"
+    assert validate(path_graph(2), TreeDecomposition.from_parents([{0}, {1}], [0, 0])) == [violation]
+    assert violation != Violation(ViolationKind.COVERAGE, violation.detail)
+    assert hash(violation) == hash(Violation(ViolationKind.EDGE, violation.detail))
+    for name in ("kind", "detail", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(violation, name, None)
+
+
 def test_validate_is_deterministic():
     g = complete_graph(4)
     td = TreeDecomposition.from_parents([{0, 1}, {1, 2}], [0, 0])
