@@ -16,9 +16,9 @@ order: min-degree elimination for trees, a smallest-boundary placement
 for paths. For every w >= ub the order gives a decomposition with
 exactly n + 1 - w nodes of at most w vertices (merge the bags of the
 last w eliminated, or the first w placed, vertices into one). Such a
-step is SAT without search: the model is given every variable of that
-decomposition and confirms it by one propagation, which runs each
-posted propagator once; the witness still comes out of the model and
+step is SAT without search: the model has the node sets and parents of
+that decomposition fixed, and the search, allowed no decision, confirms
+it by propagation alone; the witness still comes out of the model and
 passes the validator.
 
 While ub - lb >= 2 leaves steps to search, ``bounds`` tries stronger
@@ -87,8 +87,8 @@ class ScheduleStep:
     minor of the graph with minimum degree at least w, which
     ``validator.check_minor_bound`` accepted; its report counts no
     decisions, propagations or fails. A ``confirmed`` step is SAT by
-    the greedy order's decomposition, which one propagation of the
-    model accepted; its report counts no decisions or fails.
+    the greedy order's decomposition, which the model accepted by
+    propagation alone; its report counts no decisions or fails.
 
     A schedule step keeps the decomposition in ``witness`` and the
     counts in ``report``, whose ``witness``, the model's assignment
@@ -147,10 +147,14 @@ class WidthResult:
 
     @property
     def treewidth(self) -> int:
+        if self.variant is not Variant.TREE:
+            raise AttributeError("a pathwidth schedule gives no treewidth")
         return self.min_width - 1
 
     @property
     def pathwidth(self) -> int:
+        if self.variant is not Variant.PATH:
+            raise AttributeError("a treewidth schedule gives no pathwidth")
         return self.min_width - 1
 
 
@@ -169,33 +173,30 @@ def decide(
 
     Without ``confirm`` the instance is searched under the decision and
     time limits. With it, a decomposition with m nodes of at most w
-    vertices (in path order for PATH), the model checks that
-    decomposition instead: ``encode_decomposition`` gives every variable
-    and ``Solver.check`` runs each propagator once. The step is SAT with
-    no decision or fail, its propagations are the number of propagators
-    posted, and the limits do not apply.
-    A decomposition the model rejects raises RuntimeError, and parent
-    pointers that do not form a tree raise ValueError. ``smooth``
-    asks for a smooth decomposition, which keeps the status only when
+    vertices (in path order for PATH), the model confirms that
+    decomposition instead: ``encode_decomposition`` fixes the node sets
+    and parents, and the search, allowed no decision, must find the rest
+    by propagation. The step is SAT with no decision or fail, and the
+    limits do not apply.
+    A decomposition the model rejects raises RuntimeError; one whose
+    node count or vertices do not fit the instance, or whose parent
+    pointers do not form a tree, raises ValueError. ``smooth`` asks for
+    a smooth decomposition, which keeps the status only when
     m + w = n + 1.
     """
     mi = build_model(
         g, m, w, variant=variant, symmetry_breaking=symmetry_breaking, smooth=smooth
     )
     try:
-        if confirm is None:
-            report = mi.solver.solve(
-                decision_vars=mi.decision_vars, decision_limit=decision_limit, timeout=timeout
-            )
-        else:
-            start = time.perf_counter()
-            found = mi.solver.check(encode_decomposition(mi, confirm))
-            if found is None:
-                raise RuntimeError(
-                    f"step (m={m}, w={w}): the model rejects the decomposition to confirm"
-                )
-            report = SolveReport(
-                Status.SAT, found, 0, mi.solver.propagations, 0, time.perf_counter() - start
+        if confirm is not None:
+            encode_decomposition(mi, confirm)
+            decision_limit, timeout = 0, None
+        report = mi.solver.solve(
+            decision_vars=mi.decision_vars, decision_limit=decision_limit, timeout=timeout
+        )
+        if confirm is not None and report.status is not Status.SAT:
+            raise RuntimeError(
+                f"step (m={m}, w={w}): the model rejects the decomposition to confirm"
             )
         witness = None
         if report.status is Status.SAT:

@@ -347,8 +347,8 @@ class Solver:
         it branches on set membership (include before exclude, lowest
         variable and element first) until every variable is fixed.
         Returns the first full assignment, or UNSAT after exhausting the
-        tree, or INDETERMINATE when a limit is hit. To confirm a known
-        assignment instead of searching, use ``check``.
+        tree, or INDETERMINATE when a limit is hit. With a decision limit
+        of 0 it only confirms what propagation alone fixes.
         """
         dvars = list(self.int_vars) if decision_vars is None else list(decision_vars)
         self.decisions = 0
@@ -440,40 +440,6 @@ class Solver:
             var.include(v)
         else:
             var.exclude(v)
-
-    def check(self, values: dict) -> dict | None:
-        """Confirm a full assignment with one pass of every propagator
-        instead of a search.
-
-        ``values`` gives every variable of a freshly built model: an
-        IntVar its int, a SetVar its membership mask. Each value must lie
-        in its domain (an IntVar's mask; a SetVar's ``required`` and
-        ``possible`` bounds), and is then set directly, without a trail
-        entry or a wake. ``post`` has queued every propagator, and on a
-        fixed assignment each one either prunes nothing or fails, so the
-        one propagation runs each exactly once. Returns the assignment,
-        in the layout of a solve witness, if none fails; None if one
-        fails, a value lies outside its domain or a variable is missing.
-        Counts the propagations, and no decision or fail.
-        """
-        self.decisions = 0
-        self.propagations = 0
-        self.fails = 0
-        for var in self.int_vars:
-            value = values.get(var)
-            if value is None or not var.contains(value):
-                return None
-        for svar in self.set_vars:
-            value = values.get(svar)
-            if value is None or svar.required & ~value or value & ~svar.possible:
-                return None
-        for var in self.int_vars:
-            var.mask = 1 << values[var]
-        for svar in self.set_vars:
-            svar.required = svar.possible = values[svar]
-        if not self.propagate():
-            return None
-        return self._witness()
 
     def _witness(self) -> dict:
         witness: dict = {}

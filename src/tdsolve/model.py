@@ -46,7 +46,6 @@ class ModelInstance:
         "parents",
         "depths",
         "edge_sets",
-        "incident",
         "decision_vars",
     )
 
@@ -61,7 +60,6 @@ class ModelInstance:
         parents: list[IntVar],
         depths: list[IntVar],  # empty on a path
         edge_sets: list[SetVar],  # per node, over the indices of g.edges
-        incident: list[int],  # per vertex, the mask of the edges at it
         decision_vars: list[IntVar | SetVar],
     ) -> None:
         self.g = g
@@ -73,7 +71,6 @@ class ModelInstance:
         self.parents = parents
         self.depths = depths
         self.edge_sets = edge_sets
-        self.incident = incident
         self.decision_vars = decision_vars
 
 
@@ -150,7 +147,6 @@ def build_model(
         parents=parents,
         depths=depths,
         edge_sets=edge_sets,
-        incident=incident,
         decision_vars=parents + edge_sets,
     )
 
@@ -165,22 +161,24 @@ def extract_decomposition(mi: ModelInstance, witness: dict) -> TreeDecomposition
     return TreeDecomposition(nodes=nodes, parent=parent)
 
 
-def encode_decomposition(mi: ModelInstance, td: TreeDecomposition) -> dict:
-    """The assignment of every variable of mi that spells out td, with
-    set values as membership masks: the inverse of extract_decomposition.
+def encode_decomposition(mi: ModelInstance, td: TreeDecomposition) -> None:
+    """Fix the node sets and parents of the fresh model mi to td: the
+    inverse of extract_decomposition once propagation has derived the
+    rest (depths by ``RunningIntersection``, edge sets by ``EdgeInNode``).
 
     A tree's nodes are sorted into the LexLeq order and the tree is
     re-rooted at the first, by reversing the parent pointers on the path
-    from it up to node 0; a depth is the node's distance to the new root.
-    A path, given in path order from node 0, is reversed if LexLeq of its
-    two ends needs it. A node's edge set is every edge but those at a
-    vertex outside the node. Raises ValueError unless td has exactly
-    mi.m nodes and, for a tree, its parent pointers form a tree rooted
-    at node 0 (``parent[0]`` is not read).
+    from it up to node 0. A path, given in path order from node 0, is
+    reversed if LexLeq of its two ends needs it. Raises ValueError,
+    before anything is fixed, unless td has exactly mi.m nodes, every
+    node holds only vertices of mi.g and, for a tree, its parent
+    pointers form a tree rooted at node 0.
     """
     m, n = mi.m, mi.g.n
     if td.m != m:
         raise ValueError(f"a decomposition to encode for {m} nodes has {td.m}")
+    if not all(0 <= v < n for bag in td.nodes for v in bag):
+        raise ValueError(f"a node of the decomposition holds a vertex outside 0..{n - 1}")
     masks = [sum(1 << v for v in bag) for bag in td.nodes]
     width = f"0{n}b"
 
@@ -188,53 +186,26 @@ def encode_decomposition(mi: ModelInstance, td: TreeDecomposition) -> dict:
         """Membership vector, vertex 0 first."""
         return format(masks[i], width)[::-1]
 
-    depth = []
     if mi.variant is Variant.PATH:
         if lex_key(0) > lex_key(m - 1):
             masks.reverse()
-        parent = [max(i - 1, 0) for i in range(m)]
     else:
+        TreeDecomposition.from_parents(td.nodes, td.parent)  # ValueError unless a tree
         rank = sorted(range(m), key=lex_key)
         up = list(td.parent)
-        if not all(0 <= p < m for p in up[1:]):
-            raise ValueError(f"parent pointers {td.parent} leave the nodes 0..{m - 1}")
         below = j = rank[0]
-        for _ in range(m):  # a path to node 0 has at most m nodes
+        while True:  # up the tree to node 0, reversing each pointer
             above = up[j]
             up[j] = below
             if j == 0:
                 break
             below, j = j, above
-        else:
-            raise ValueError(f"node {rank[0]} does not reach the root")
         new = [0] * m
         for i, old in enumerate(rank):
             new[old] = i
-        parent = [new[up[old]] for old in rank]
+        for var, old in zip(mi.parents, rank):
+            var.assign(new[up[old]])
         masks = [masks[old] for old in rank]
-        children = [[] for _ in range(m)]
-        for i in range(1, m):
-            children[parent[i]].append(i)
-        depth = [0] * m
-        reached = [0]  # breadth-first from the root, which reaches no cycle
-        for i in reached:
-            for k in children[i]:
-                depth[k] = depth[i] + 1
-                reached.append(k)
-        if len(reached) != m:
-            raise ValueError(f"parent pointers {td.parent} do not form a tree")
-
-    every_edge = (1 << len(mi.g.edges)) - 1
-
-    def edges_within(mask: int) -> int:
-        edges = every_edge
-        for v in range(n):
-            if not mask >> v & 1:
-                edges &= ~mi.incident[v]
-        return edges
-
-    values: dict = dict(zip(mi.node_sets, masks))
-    values.update(zip(mi.parents, parent))
-    values.update(zip(mi.depths, depth))
-    values.update((x, edges_within(mask)) for x, mask in zip(mi.edge_sets, masks))
-    return values
+    for x, mask in zip(mi.node_sets, masks):
+        x.require_mask(mask)
+        x.restrict(mask)

@@ -53,14 +53,17 @@ def test_known_families():
     assert minor_min_width(edgeless_graph(3)) == (0, tuple(frozenset({v}) for v in range(3)))
 
 
-def test_bound_agrees_with_oracle_and_search():
-    # every labeled graph with n <= 5, and 40 G(6, 1/2) / G(7, 1/2) graphs;
-    # a schedule reaches w <= lb only at its step (n + 1 - lb, lb)
+def _bound_corpus():
+    """Every labeled graph with n <= 5, and 40 G(6, 1/2) / G(7, 1/2) graphs."""
     rng = random.Random(83)
     graphs = [g for n in range(1, 6) for g in all_labeled_graphs(n)]
-    graphs += [random_graph(6 + i % 2, 0.5, rng) for i in range(40)]
+    return graphs + [random_graph(6 + i % 2, 0.5, rng) for i in range(40)]
+
+
+def test_bound_agrees_with_oracle_and_search():
+    # a schedule reaches w <= lb only at its step (n + 1 - lb, lb)
     decided = 0
-    for g in graphs:
+    for g in _bound_corpus():
         lb, minor = minor_min_width(g)
         assert lb <= brute_treewidth(g).width - 1, g.edges
         assert check_minor_bound(g, minor, lb) == [], g.edges
@@ -71,6 +74,20 @@ def test_bound_agrees_with_oracle_and_search():
             assert step.status is Status.UNSAT, (g.edges, variant, lb)
             decided += 1
     assert decided > 2000
+
+
+def test_upper_bound_agrees_with_search():
+    # the first step the order covers, (n + 1 - ub, ub), searched as a
+    # gap step is, on the smooth model and with nothing to confirm
+    searched = 0
+    for g in _bound_corpus():
+        for variant in Variant:
+            ub = upper_bound(g, variant)[0]
+            step = decide(g, g.n + 1 - ub, ub, variant=variant, smooth=True)
+            assert step.status is Status.SAT, (g.edges, variant, ub)
+            assert not step.confirmed
+            searched += 1
+    assert searched > 2000
 
 
 def test_schedule_step_decided_by_bound():

@@ -123,6 +123,16 @@ def test_pathwidth_examples():
     assert result.variant is Variant.PATH
 
 
+def test_each_width_is_read_only_from_its_own_schedule():
+    # a spider with three legs of two edges: treewidth 1, pathwidth 2
+    g = Graph.from_edges(7, [(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)])
+    tree, path = treewidth(g), pathwidth(g)
+    assert (tree.treewidth, path.pathwidth) == (1, 2)
+    assert not hasattr(tree, "pathwidth") and not hasattr(path, "treewidth")
+    with pytest.raises(AttributeError, match="treewidth schedule"):
+        tree.pathwidth
+
+
 def test_pathwidth_witness_is_a_path():
     result = pathwidth(cycle_graph(5))
     td = result.witness

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from helpers import snapshot, solutions_within, tighten_randomly
-from tdsolve.engine import Propagator, Solver, Status, bits_of
+from tdsolve.engine import Propagator, Solver, Status
 from tdsolve.propagators import CardinalityAtMost, UnionEquals
 
 
@@ -257,74 +257,3 @@ def test_bad_domain_rejected():
         s.int_var(-1, 1)
     with pytest.raises(ValueError):
         s.set_var(-2)
-
-
-def _check_fresh(seed, values):
-    """``check`` on a fresh copy of seed's micro model. ``values`` maps
-    variable positions (integers first, then sets) to witness values."""
-    s = _random_micro_model(random.Random(seed))
-    variables = s.int_vars + s.set_vars
-    masks = {
-        variables[i]: v if isinstance(v, int) else sum(1 << e for e in v) for i, v in values.items()
-    }
-    return s, s.check(masks)
-
-
-def _solutions(seed):
-    """Every solution of seed's micro model, as tuples in variable order."""
-    s = _random_micro_model(random.Random(seed))
-    variables = s.int_vars + s.set_vars
-    return [tuple(a[v] for v in variables) for a in solutions_within(s, *snapshot(s))]
-
-
-def test_check_returns_a_solution_as_is():
-    confirmed = 0
-    for seed in range(200):
-        for solution in _solutions(seed)[:3]:
-            s, found = _check_fresh(seed, dict(enumerate(solution)))
-            assert found == dict(zip(s.int_vars + s.set_vars, solution))
-            assert (s.decisions, s.fails) == (0, 0)
-            assert s.propagations == len(s.propagators)  # each runs once
-            assert s.check_witness(found)
-            confirmed += 1
-    assert confirmed > 300
-
-
-def test_check_rejects_what_is_not_a_solution():
-    rejected = {"broken": 0, "outside": 0, "required": 0, "partial": 0}
-    for seed in range(200):
-        solutions = _solutions(seed)
-        if not solutions:
-            continue
-        s = _random_micro_model(random.Random(seed))
-        solution = dict(enumerate(solutions[0]))
-        ints = len(s.int_vars)
-        # one value changed, within the bounds, so that a constraint breaks
-        for i, var in enumerate(s.int_vars + s.set_vars):
-            if i < ints:
-                others = [v for v in var.domain() if v != solution[i]]
-            else:
-                others = [solution[i] ^ {e} for e in bits_of(var.undecided())]
-            changed = [{**solution, i: v} for v in others]
-            broken = [c for c in changed if tuple(c.values()) not in solutions]
-            for values in broken[:1]:
-                assert _check_fresh(seed, values)[1] is None
-                rejected["broken"] += 1
-        # a value outside its domain: integers range over 0..3, sets over
-        # a universe of at most 3 elements
-        assert _check_fresh(seed, {**solution, 0: 4})[1] is None
-        assert _check_fresh(seed, {**solution, 0: -1})[1] is None
-        assert _check_fresh(seed, {**solution, ints: solution[ints] | {3}})[1] is None
-        rejected["outside"] += 1
-        # a set without an element its domain requires
-        for i, svar in enumerate(s.set_vars, start=ints):
-            for e in bits_of(svar.required):
-                assert _check_fresh(seed, {**solution, i: solution[i] - {e}})[1] is None
-                rejected["required"] += 1
-        # a partial assignment, even one that a single solution completes
-        for i in solution:
-            rest = {j: v for j, v in solution.items() if j != i}
-            assert _check_fresh(seed, rest)[1] is None
-            if sum(all(other[j] == v for j, v in rest.items()) for other in solutions) > 1:
-                rejected["partial"] += 1
-    assert min(rejected.values()) > 50, rejected

@@ -17,8 +17,8 @@ from helpers import (
     snapshot,
 )
 from tdsolve.driver import _schedule_pairs, decide, smooth_decomposition, upper_bound
-from tdsolve.engine import SetVar, Status, bits_of
-from tdsolve.graphs import TreeDecomposition
+from tdsolve.engine import Status
+from tdsolve.graphs import TreeDecomposition, oriented_at_zero
 from tdsolve.model import Variant, build_model, encode_decomposition, extract_decomposition
 from tdsolve.propagators import LexLeq, PathIntersection, RunningIntersection
 from tdsolve.validator import validate
@@ -241,15 +241,24 @@ def test_lex_toggle_preserves_outcomes_sampled_n5():
             assert with_lex.status == without.status, (g.edges, m, w)
 
 
-def _as_witness(values):
-    return {
-        var: frozenset(bits_of(v)) if isinstance(var, SetVar) else v for var, v in values.items()
-    }
+def _canonical(td, variant, n):
+    """td as ``encode_decomposition`` orders it: a tree's nodes sorted on
+    their membership vectors, vertex 0 first (ties by index), rooted at
+    the first; a path reversed if its first node sorts after its last."""
+    key = [tuple(v in bag for v in range(n)) for bag in td.nodes]
+    if variant is Variant.PATH:
+        nodes = td.nodes[::-1] if key[0] > key[-1] else td.nodes
+        return TreeDecomposition(nodes, td.parent)
+    rank = sorted(range(td.m), key=key.__getitem__)
+    new = {old: i for i, old in enumerate(rank)}
+    edges = [(new[td.parent[i]], new[i]) for i in range(1, td.m)]
+    return oriented_at_zero([td.nodes[old] for old in rank], edges)
 
 
 def test_encoding_inverts_extraction_and_dives_without_a_fail():
-    # every step with w >= ub: the encoded decomposition satisfies every
-    # posted constraint, so one propagation confirms it without search
+    # every step with w >= ub: with the node sets and parents of the
+    # order's decomposition fixed, propagation fixes every other
+    # variable, so the search confirms it without a decision or a fail
     rng = random.Random(61)
     graphs = [random_graph(rng.randint(2, 7), 0.5, rng) for _ in range(30)]
     checked = 0
@@ -259,19 +268,16 @@ def test_encoding_inverts_extraction_and_dives_without_a_fail():
             for w in range(ub, g.n + 1):
                 m = g.n + 1 - w
                 mi = build_model(g, m, w, variant=variant)
-                values = encode_decomposition(mi, smooth_decomposition(variant, order, bags, w))
-                every_var = set(mi.solver.int_vars) | set(mi.solver.set_vars)
-                assert set(values) == every_var
-                encoded = _as_witness(values)
-                td = extract_decomposition(mi, encoded)
+                given = smooth_decomposition(variant, order, bags, w)
+                encode_decomposition(mi, given)
+                report = mi.solver.solve(decision_vars=mi.decision_vars, decision_limit=0)
+                assert report.status is Status.SAT, (g.edges, variant, w)
+                assert (report.decisions, report.fails) == (0, 0)
+                assert mi.solver.check_witness(report.witness), (g.edges, variant, w)
+                td = extract_decomposition(mi, report.witness)
+                assert td == _canonical(given, variant, g.n), (g.edges, variant, w)
                 is_path = variant is Variant.PATH
                 assert validate(g, td, expect_m=m, expect_w=w, expect_path=is_path) == []
-                found = mi.solver.check(values)
-                assert found is not None, (g.edges, variant, w)
-                assert (mi.solver.decisions, mi.solver.fails) == (0, 0)
-                assert mi.solver.propagations == len(mi.solver.propagators)
-                assert found == encoded
-                assert mi.solver.check_witness(found), (g.edges, variant, w)
                 checked += 1
     assert checked > 100
 
@@ -281,52 +287,41 @@ def test_encoding_orders_nodes_for_symmetry_breaking():
     # a tree rooted at its lex-largest node, listed out of order
     tree = TreeDecomposition.from_parents([{0, 1}, {2, 3}, {1, 2}], [0, 2, 0])
     mi = build_model(g, 3, 2)
-    values = encode_decomposition(mi, tree)
-    assert [values[x] for x in mi.node_sets] == [0b1100, 0b0110, 0b0011]
-    assert [values[p] for p in mi.parents] == [0, 0, 1]
-    assert [values[d] for d in mi.depths] == [0, 1, 2]
+    encode_decomposition(mi, tree)
+    assert [(x.required, x.possible) for x in mi.node_sets] == [
+        (0b1100, 0b1100),
+        (0b0110, 0b0110),
+        (0b0011, 0b0011),
+    ]
+    assert [p.domain() for p in mi.parents] == [[0], [0], [1]]
+    assert mi.solver.solve(decision_vars=mi.decision_vars, decision_limit=0).status is Status.SAT
+    assert [d.value() for d in mi.depths] == [0, 1, 2]  # derived by propagation
     # a path whose first node is lex-larger than its last is reversed
     path = TreeDecomposition.from_parents([{0, 1}, {1, 2}, {2, 3}], [0, 0, 1])
     mi = build_model(g, 3, 2, variant=Variant.PATH)
-    values = encode_decomposition(mi, path)
-    assert [values[x] for x in mi.node_sets] == [0b1100, 0b0110, 0b0011]
-    assert mi.solver.check_witness(_as_witness(values))
+    encode_decomposition(mi, path)
+    report = mi.solver.solve(decision_vars=mi.decision_vars, decision_limit=0)
+    assert report.status is Status.SAT
+    assert [report.witness[x] for x in mi.node_sets] == [{2, 3}, {1, 2}, {0, 1}]
+    assert mi.solver.check_witness(report.witness)
     with pytest.raises(ValueError):
         encode_decomposition(build_model(g, 2, 3), path)
 
 
-def _check_encoded(td, drop="", **changes):
-    """``Solver.check`` on a fresh P4 model (w = 2) of td's encoding,
-    with the variable named ``drop`` left out and the named ``changes``
-    made."""
-    mi = build_model(path_graph(4), td.m, 2)
-    values = {
-        var: changes.get(var.name, value)
-        for var, value in encode_decomposition(mi, td).items()
-        if var.name != drop
-    }
-    return mi.solver.check(values)
-
-
-def test_check_needs_every_variable_in_its_domain():
-    tree = TreeDecomposition.from_parents([{0, 1}, {1, 2}, {2, 3}], [0, 0, 1])
-    assert _check_encoded(tree) is not None
-    names = [var.name for var in encode_decomposition(build_model(path_graph(4), 3, 2), tree)]
-    assert len(names) == 12  # 3 node sets, 3 parents, 3 depths, 3 edge sets
-    for name in names:
-        assert _check_encoded(tree, drop=name) is None, name
-    for change in [
-        {"parent1": 1},  # its own parent
-        {"parent2": 3},
-        {"depth0": 1},
-        {"depth2": 3},
-        {"depth2": -1},
-        {"depth2": 1},  # in its domain, but not one below its parent
-        {"node0": 0b10000},
-        {"node0": 0b0111},  # three vertices, w = 2
-        {"edges1": 0},  # edge (1, 2) left out of node 1, the one holding it
-    ]:
-        assert _check_encoded(tree, **change) is None, change
+def test_confirm_refuses_what_is_no_decomposition_of_the_instance():
+    g = path_graph(4)
+    sound = [{0, 1}, {1, 2}, {2, 3}]
+    assert decide(g, 3, 2, confirm=TreeDecomposition.from_parents(sound, [0, 0, 1])).witness
+    for variant in Variant:
+        for bags, error in [
+            ([{0, 1}, {1, 2}, {2, 3, 4}], ValueError),  # vertex 4 is not in P4
+            ([{0, 1}, {1, 2}, {-1, 3}], ValueError),
+            ([{0, 1}, {1, 2, 3}, {2, 3}], RuntimeError),  # three vertices, w = 2
+            ([{0, 1}, {1, 2, 3}], ValueError),  # two nodes for m = 3
+        ]:
+            td = TreeDecomposition(tuple(map(frozenset, bags)), (0, 0, 1)[: len(bags)])
+            with pytest.raises(error):
+                decide(g, 3, 2, variant=variant, confirm=td)
 
 
 def _raises_value_error_in_time(call):
@@ -344,9 +339,9 @@ def _raises_value_error_in_time(call):
 
 @pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs SIGALRM")
 def test_encoding_a_parent_array_that_is_no_tree_raises():
-    mi = build_model(path_graph(4), 3, 2)
+    g = path_graph(4)
     for bags in ([{0, 1}, {1, 2}, {2, 3}], [{2, 3}, {0, 1}, {1, 2}]):
         # the lex-first node is node 2, on the cycle, then node 0, the root
         for parent in [(0, 2, 1), (0, 1, 0), (0, 0, 2), (0, 3, 0), (0, -1, 0)]:
             td = TreeDecomposition(tuple(map(frozenset, bags)), parent)
-            _raises_value_error_in_time(lambda: encode_decomposition(mi, td))
+            _raises_value_error_in_time(lambda: decide(g, 3, 2, confirm=td))
