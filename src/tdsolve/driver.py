@@ -17,9 +17,10 @@ for paths. For every w >= ub the order gives a decomposition with
 exactly n + 1 - w nodes of at most w vertices (merge the bags of the
 last w eliminated, or the first w placed, vertices into one). Such a
 step is SAT without search: the model has the node sets and parents of
-that decomposition fixed, and the search, allowed no decision, confirms
-it by propagation alone; the witness still comes out of the model and
-passes the validator.
+that decomposition fixed as the order lists them, and the search,
+allowed no decision, confirms it by propagation alone; the witness
+still comes out of the model, equal to that decomposition, and passes
+the validator.
 
 While ub - lb >= 2 leaves steps to search, ``bounds`` tries stronger
 ones and keeps each only if it is strictly better: the least-c
@@ -39,7 +40,9 @@ lacks. Since m + w = n + 1 at every step, g has a decomposition with m
 nodes of at most w vertices iff it has a smooth one (Bodlaender 1996),
 so the step's status does not change, and the smooth constraints cut
 the search. A confirmed step stays on the bare model, because the
-order's decomposition may have nodes of fewer than w vertices.
+order's decomposition may have nodes of fewer than w vertices, and
+without the lex cut, which would only force its nodes into another
+order.
 """
 
 from __future__ import annotations
@@ -174,19 +177,22 @@ def decide(
     Without ``confirm`` the instance is searched under the decision and
     time limits. With it, a decomposition with m nodes of at most w
     vertices (in path order for PATH), the model confirms that
-    decomposition instead: ``encode_decomposition`` fixes the node sets
-    and parents, and the search, allowed no decision, must find the rest
-    by propagation. The step is SAT with no decision or fail, and the
-    limits do not apply.
+    decomposition instead: built without the lex cut (``symmetry_breaking``
+    applies to searches only), it has the node sets and parents fixed as
+    given by ``encode_decomposition``, and the search, allowed no
+    decision, must find the rest by propagation. The step is SAT with no
+    decision or fail, its witness equals ``confirm``, and the limits do
+    not apply.
     A decomposition the model rejects raises RuntimeError; one whose
     node count or vertices do not fit the instance, or whose parent
-    pointers do not form a tree, raises ValueError. ``smooth`` asks for
+    pointers do not form a tree (for PATH, do not hang each node i >= 1
+    from node i - 1), raises ValueError. ``smooth`` asks for
     a smooth decomposition, which keeps the status only when
     m + w = n + 1.
     """
-    mi = build_model(
-        g, m, w, variant=variant, symmetry_breaking=symmetry_breaking, smooth=smooth
-    )
+    # a confirmation makes no decision, so the lex cut has nothing to prune
+    lex = symmetry_breaking and confirm is None
+    mi = build_model(g, m, w, variant=variant, symmetry_breaking=lex, smooth=smooth)
     try:
         if confirm is not None:
             encode_decomposition(mi, confirm)

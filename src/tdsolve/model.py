@@ -18,7 +18,9 @@ vertex's nodes contiguous. Either way the model grows linearly in m.
 Symmetry breaking orders node sets lexicographically on their
 membership vectors, vertex 0 first: every consecutive pair for
 free-form trees, first against last for path-shaped instances (whose
-only node symmetry is reversal).
+only node symmetry is reversal). A model that confirms a given
+decomposition (``encode_decomposition``) goes without it: it makes no
+decision for the cut to prune.
 """
 
 from __future__ import annotations
@@ -162,50 +164,30 @@ def extract_decomposition(mi: ModelInstance, witness: dict) -> TreeDecomposition
 
 
 def encode_decomposition(mi: ModelInstance, td: TreeDecomposition) -> None:
-    """Fix the node sets and parents of the fresh model mi to td: the
-    inverse of extract_decomposition once propagation has derived the
-    rest (depths by ``RunningIntersection``, edge sets by ``EdgeInNode``).
+    """Fix the node sets and parents of the fresh model mi to td, as
+    given: the inverse of extract_decomposition once propagation has
+    derived the rest (depths by ``RunningIntersection``, edge sets by
+    ``EdgeInNode``). td's nodes keep their order, so mi is expected
+    without the lex cut, as ``decide(confirm=...)`` builds it.
 
-    A tree's nodes are sorted into the LexLeq order and the tree is
-    re-rooted at the first, by reversing the parent pointers on the path
-    from it up to node 0. A path, given in path order from node 0, is
-    reversed if LexLeq of its two ends needs it. Raises ValueError,
-    before anything is fixed, unless td has exactly mi.m nodes, every
-    node holds only vertices of mi.g and, for a tree, its parent
-    pointers form a tree rooted at node 0.
+    Raises ValueError, before anything is fixed, unless td has exactly
+    mi.m nodes, every node holds only vertices of mi.g and its parent
+    pointers form a tree rooted at node 0; for a path, the chain that
+    hangs each node i >= 1 from node i - 1.
     """
     m, n = mi.m, mi.g.n
     if td.m != m:
         raise ValueError(f"a decomposition to encode for {m} nodes has {td.m}")
     if not all(0 <= v < n for bag in td.nodes for v in bag):
         raise ValueError(f"a node of the decomposition holds a vertex outside 0..{n - 1}")
-    masks = [sum(1 << v for v in bag) for bag in td.nodes]
-    width = f"0{n}b"
-
-    def lex_key(i: int) -> str:
-        """Membership vector, vertex 0 first."""
-        return format(masks[i], width)[::-1]
-
     if mi.variant is Variant.PATH:
-        if lex_key(0) > lex_key(m - 1):
-            masks.reverse()
+        if tuple(td.parent) != (0, *range(m - 1)):
+            raise ValueError("a path decomposition to encode must hang node i from node i - 1")
     else:
         TreeDecomposition.from_parents(td.nodes, td.parent)  # ValueError unless a tree
-        rank = sorted(range(m), key=lex_key)
-        up = list(td.parent)
-        below = j = rank[0]
-        while True:  # up the tree to node 0, reversing each pointer
-            above = up[j]
-            up[j] = below
-            if j == 0:
-                break
-            below, j = j, above
-        new = [0] * m
-        for i, old in enumerate(rank):
-            new[old] = i
-        for var, old in zip(mi.parents, rank):
-            var.assign(new[up[old]])
-        masks = [masks[old] for old in rank]
-    for x, mask in zip(mi.node_sets, masks):
+    for var, p in zip(mi.parents, td.parent):
+        var.assign(p)
+    for x, bag in zip(mi.node_sets, td.nodes):
+        mask = sum(1 << v for v in bag)
         x.require_mask(mask)
         x.restrict(mask)

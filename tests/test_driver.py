@@ -26,6 +26,7 @@ from tdsolve.driver import (
     bounds,
     decide,
     pathwidth,
+    smooth_decomposition,
     treewidth,
 )
 from tdsolve.engine import Status
@@ -235,6 +236,23 @@ def test_confirm_rejects_a_broken_decomposition():
     report = step.report
     assert (step.status, step.confirmed, report.decisions, report.fails) == (Status.SAT, True, 0, 0)
     assert report.propagations > 0
+
+
+def test_a_confirmed_step_writes_the_orders_decomposition():
+    # node for node, as smooth_decomposition lists it: the model keeps
+    # the order of the decomposition it confirms
+    rng = random.Random(73)
+    confirmed = 0
+    for _ in range(30):
+        g = random_graph(rng.randint(1, 7), 0.5, rng)
+        for variant, schedule in ((Variant.TREE, treewidth), (Variant.PATH, pathwidth)):
+            _, _, (ub, order, bags) = bounds(g, variant)
+            for step in schedule(g).trace:
+                assert step.confirmed is (step.w >= ub)
+                if step.confirmed:
+                    assert step.witness == smooth_decomposition(variant, order, bags, step.w)
+                    confirmed += 1
+    assert confirmed > 100
 
 
 def test_a_decided_step_leaves_no_cyclic_garbage():

@@ -22,7 +22,9 @@ step between the bounds is searched on the smooth model.
 
 The witnesses are pinned too: the sha256 of the ``.td`` text that
 ``write_td`` gives for each schedule's witness. A change that only
-simplifies the code must leave every one of them as it is.
+simplifies the code must leave every one of them as it is. A witness
+from a confirmed step is the greedy order's decomposition node for
+node, so these also pin the orders and ``smooth_decomposition``.
 """
 
 from __future__ import annotations
@@ -232,32 +234,32 @@ def test_searched_tree_step_is_pinned():
 
 # sha256 of write_td(witness, g) per PINNED graph: (treewidth, pathwidth)
 PINNED_TD_SHA256 = [
-    ('4fe8be53129aac12547574222fba4ad49088f62bded52b3239cb04797b3f91ce',
+    ('1f1e7892d8bc6e41420c5ba489ca90e0979317e5d76f1e66a64cc322c7c840e6',
      'ae84f248dd2cf033522c853850fe104c76faf96dce8c8c8976299f63c6a0555f'),
-    ('5cdb60e47b3f5ba35843524960ecc102aeefedc4990cb04b76af45fd8ea21fcd',
-     '1f2a0d5b7f4e9e92f9dbe407740b599f978ee6cba5bbd0ca08dc03eb3ef45709'),
-    ('0c2af9f114d4c077ac4ffc25cc1db278bdf51892df294d59b17e308a295006ac',
-     'd9724bbb0230a6fd15fa9f1c6c0f0309271844a242a62aabbc20e64e33c99366'),
-    ('d8b4ee604bbc49fa0358d00320211b191e744d7fc7bd6ec4824e424cde1dcf8c',
-     '20810482f9864012ccc6fcbfd586d8c2df1b3f159c6b83af1e735e127769b0cd'),
-    ('a9281feb3a14e664175847885bb252db7c6b778dcc317e825315f1e983f219a2',
-     '1f7f0298ffab26bd8cda21ecc67d7bb9f419c193498be93f56bdce2780ffca4f'),
-    ('4a93c5f7b97d523d38a6919063e1a9ce92fdfce1c88d63d7e111d53e5938bf18',
+    ('1e1e2cd7c3aabe82230df5b2c9bb20fe9cf204d114c7105cac1502a6781029e2',
+     '5e6feaa1890c5223677f1a345ddce6f69e661f669caa34af17c6a336df2d841c'),
+    ('f7972475683b9401cb1db20790c43331a85213451fc768adbdf09ee5794b400a',
+     '0983c7ba1139cbf3fb20f0ae885090cc65ba476f5bd728c10472b71bac462989'),
+    ('bb6a2d1d6f34488b857ab1f6022f05bd19872634bfcd5663cac4e824034b365b',
+     '8d6348a835590040109152278c5ee7af8a58dac1c1d8de3a26fd7baa6e8817f7'),
+    ('eea1a3e9e046b577b074b06956f2e315bd5d77ed6c350b73d3ad4c4ee18cb466',
+     '0f7164f28777c12feac58546da7a100f59a37e707f5e6d12b489f73c38e3dc3b'),
+    ('2cee469703cc92f654c0fad10a055589575d68406c69b272be1facf36845ec59',
      'c216724fbbe5958aef697bcdc386967e9e371da4457173ca9d2817a9ab430a03'),
-    ('016e81212ec56412f56cd95223249964f2faefc3f7a17a77c01e4c5b3f766dea',
-     '56a4a557f643800636274587402b9075b0d0a25bcd085e9aa252b99fa2ad19c0'),
-    ('82dd449cf6d8bf2d75a4911c6360643859a416269adbfb2eab972ef8d42d2a1c',
+    ('0ecebd83dbbea14b85ad892d7c0f18cd3699fe893cbdbeda9e0987bc06c43a46',
+     '538fb22c827f769467e3e0581fc193e60e30f89ad5a134918445ba98a76528b2'),
+    ('bad198a7e95ed78e1dd45fb7d7f0149bf149d9ac899d09a72969ece51fd015e1',
      'eeb38bc52f614bf2dd050a12c9063da55d5d6233472b80aaad453d8f3078efe6'),
-    ('dc69c63f9f07c82ed000a4fa3d6d41dac8ea4a0d3b49089713030b43e2a5b739',
+    ('f5fe89bd6a273400730011c27fdd29dd4e31a3f943ef838b9762336ef3caa34e',
      'e721e69795d7057b0643fa31f330e025c39988c9c12164dd744f2a4b9b42e93e'),
-    ('4d0cb30ec42e8d08bac97d36d944d1db604bd63e68a85bfab4bace2ae175715c',
-     'b185e29afe30054e1bc14a278ff8e3af723784d7ac911b008e905e55e714adfb'),
+    ('3e7d98e5e4da44888e752e05f6b0ef33676f41577c4dd278f27621c4d6697c82',
+     'e6ba73a6e13d60047b783e4d255155409b4dbc16c8adef61cea74023508a076f'),
     ('5861afb470668079b192b055494e7ffb7e2bcc8ecaf6c0683e6f17d4136e92d5',
      'e0f8eefd4962415a76574ad0bddd42573f934ce9111eaf66af907ae38873105a'),
-    ('9ee68472290bd929e2d67a251d8de6952a1fef7b8c26da9c1d4ec0dfcd7ccdd3',
-     'e3cb07f11769f60680a646b7b88dce3bbf38d3b603c77a276b1a9d5c48843154'),
-    ('7e9d68c01ad9422e1b4ce3afddd83db7eadac490920363e8d1fc262087d63d5c',
-     'aa147632188992fc1e43f72536377d0eb4afc79fe767b61b40aaaa336fcf0ed2'),
+    ('57bfee604da8701a39596b66b9f4b9f58b0c96e02a019848d5ba1cfe9dadf739',
+     'a828c72c76305dd95fb06eac39975811033211c6efa36f1fd882c89a1438f4e7'),
+    ('e4934037a0c9f77e6916f15cf1f1ec7278dc2851fd68db5805424ba5ef060343',
+     '378fcc49c6c94646a0e4d830a0c6726cd1061d44819062392f92b8bc898057dc'),
 ]
 
 
