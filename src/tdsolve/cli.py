@@ -9,10 +9,16 @@ width commands is byte-stable across runs; timing only appears under
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
-from .driver import ScheduleInterrupted, SearchLimitExceeded, decide, pathwidth, treewidth
+from .driver import (
+    ScheduleInterrupted,
+    SearchLimitExceeded,
+    check_limits,
+    decide,
+    pathwidth,
+    treewidth,
+)
 from .engine import Status
 from .graphio import ParseError, export_dot, parse_edge_list, parse_gr, parse_td, write_td
 from .model import Variant
@@ -86,11 +92,11 @@ def _write_outputs(args, g, td) -> None:
 
 
 def _check_limits(args) -> None:
-    # a NaN timeout would fail every comparison and so never expire
-    if args.timeout is not None and not (math.isfinite(args.timeout) and args.timeout >= 0):
-        raise ValueError(f"--timeout must be a finite number >= 0, got {args.timeout}")
-    if args.decision_limit is not None and args.decision_limit < 0:
-        raise ValueError(f"--decision-limit must be at least 0, got {args.decision_limit}")
+    try:
+        check_limits(args.decision_limit, args.timeout)
+    except ValueError as exc:
+        # the message names the parameter of the flag
+        raise ValueError("--" + str(exc).replace("_", "-")) from None
 
 
 def _cmd_decide(args) -> int:
@@ -206,8 +212,7 @@ def _add_solver_flags(sub) -> None:
         "--timeout",
         type=float,
         metavar="SECONDS",
-        help="time cap per searched step; in a schedule, also the budget of the bounds"
-        " and the order's confirmations together",
+        help="time cap for the whole command",
     )
     sub.add_argument("--stats", action="store_true", help="print per-step search statistics")
     sub.add_argument("--td-output", metavar="FILE", help="write the witness decomposition")

@@ -26,13 +26,12 @@ While ub - lb >= 2 leaves steps to search, ``bounds`` tries stronger
 ones and keeps each only if it is strictly better: the least-c
 contraction rule for lb (Bodlaender, Koster & Wolle 2006), and for ub a
 min-fill elimination order (trees; Bodlaender & Koster 2010) or the
-greedy placement from every start vertex (paths). Under a timeout they
-get half of what is left of it when they start, so that the other half
-stays for the confirmations.
+greedy placement from every start vertex (paths).
 
-The decision and time limits cap searched steps only: those with
-lb < w < ub and, once the timeout (which caps the bounds and the
-confirmations together) has passed, every later one.
+A timeout is one deadline for the whole schedule: the bounds stop at
+it, no step is confirmed past it, and each searched step gets only what
+is left of it. The decision limit caps each searched step: those with
+lb < w < ub and, once the deadline has passed, every later one.
 
 A searched step asks the model for a smooth decomposition: every node
 of exactly w vertices, each child with exactly one vertex its parent
@@ -47,6 +46,7 @@ order.
 
 from __future__ import annotations
 
+import math
 import time
 
 from .engine import SolveReport, Status, bits_of
@@ -126,7 +126,7 @@ class WidthResult:
     decomposition; the conventional treewidth/pathwidth subtracts one.
     lb and ub are the schedule's bounds: every step with w <= lb was
     UNSAT by the minor, and every step with w >= ub SAT by the order
-    while its time lasted (ub is None if the order ran out of time).
+    before the deadline (ub is None if the order ran out of time).
     lb < min_width <= ub.
     """
 
@@ -161,6 +161,15 @@ class WidthResult:
         return self.min_width - 1
 
 
+def check_limits(decision_limit: int | None, timeout: float | None) -> None:
+    """Raise ValueError unless each limit is None, or a decision limit
+    >= 0 and a finite timeout >= 0 (a NaN one would never expire)."""
+    if timeout is not None and not (math.isfinite(timeout) and timeout >= 0):
+        raise ValueError(f"timeout must be a finite number >= 0, got {timeout}")
+    if decision_limit is not None and decision_limit < 0:
+        raise ValueError(f"decision_limit must be at least 0, got {decision_limit}")
+
+
 def decide(
     g: Graph,
     m: int,
@@ -175,14 +184,14 @@ def decide(
     """Solve one decision instance; SAT steps carry a validated witness.
 
     Without ``confirm`` the instance is searched under the decision and
-    time limits. With it, a decomposition with m nodes of at most w
-    vertices (in path order for PATH), the model confirms that
-    decomposition instead: built without the lex cut (``symmetry_breaking``
-    applies to searches only), it has the node sets and parents fixed as
-    given by ``encode_decomposition``, and the search, allowed no
-    decision, must find the rest by propagation. The step is SAT with no
-    decision or fail, its witness equals ``confirm``, and the limits do
-    not apply.
+    time limits, which ``check_limits`` checks first. With it, a
+    decomposition with m nodes of at most w vertices (in path order for
+    PATH), the model confirms that decomposition instead: built without
+    the lex cut (``symmetry_breaking`` applies to searches only), it has
+    the node sets and parents fixed as given by ``encode_decomposition``,
+    and the search, allowed no decision, must find the rest by
+    propagation. The step is SAT with no decision or fail, its witness
+    equals ``confirm``, and the limits do not apply.
     A decomposition the model rejects raises RuntimeError; one whose
     node count or vertices do not fit the instance, or whose parent
     pointers do not form a tree (for PATH, do not hang each node i >= 1
@@ -190,6 +199,7 @@ def decide(
     a smooth decomposition, which keeps the status only when
     m + w = n + 1.
     """
+    check_limits(decision_limit, timeout)
     # a confirmation makes no decision, so the lex cut has nothing to prune
     lex = symmetry_breaking and confirm is None
     mi = build_model(g, m, w, variant=variant, symmetry_breaking=lex, smooth=smooth)
@@ -423,14 +433,10 @@ def upper_bound(
 def _other_orders(g: Graph, variant: Variant, deadline: float | None):
     """The orders ``bounds`` tries after the greedy one: min-fill
     elimination for TREE, the greedy placement from every start vertex
-    for PATH. Ends once ``deadline`` passes."""
+    for PATH; each is None once ``deadline`` passes."""
     if variant is Variant.TREE:
-        yield _elimination_order(g, deadline, min_fill=True)
-        return
-    for start in range(g.n):
-        if _out_of_time(deadline):
-            return
-        yield _greedy_path_order(g, deadline, start)
+        return [_elimination_order(g, deadline, min_fill=True)]
+    return (_greedy_path_order(g, deadline, start) for start in range(g.n))
 
 
 def bounds(
@@ -442,11 +448,9 @@ def bounds(
 
     While ub - lb >= 2 leaves a step to search, it also tries the
     least-c rule for lb and ``_other_orders`` for ub, and keeps a bound
-    only if it is strictly better. The greedy order stops at
-    ``deadline``; these tries stop once half the time left when they
-    start has passed, so that the rest stays for the confirmations. The
-    kept minor is checked once by ``check_minor_bound``; a rejection
-    raises RuntimeError.
+    only if it is strictly better. The greedy order and these tries stop
+    at ``deadline``. The kept minor is checked once by
+    ``check_minor_bound``; a rejection raises RuntimeError.
     """
     lb, minor = minor_min_width(g)
     upper = upper_bound(g, variant, deadline)
@@ -454,9 +458,6 @@ def bounds(
     def gap() -> bool:
         return upper is not None and upper[0] - lb >= 2
 
-    if gap() and deadline is not None:
-        now = time.perf_counter()
-        deadline = now + (deadline - now) / 2
     if gap():
         found = _contraction_bound(g, True, deadline)
         if found is not None and found[0] > lb:
@@ -513,14 +514,13 @@ def _run_schedule(
     decision_limit: int | None,
     timeout: float | None,
 ) -> WidthResult:
+    check_limits(decision_limit, timeout)
     if g.n < 1:
         raise ValueError("the schedule needs a graph with at least one vertex")
     trace: list[ScheduleStep] = []
     lb = ub = None
     try:
         start = time.perf_counter()
-        # A timeout also caps the bounds and the confirmations: past it,
-        # the steps are searched, each under its own cap.
         deadline = None if timeout is None else start + timeout
         lb, minor, upper = bounds(g, variant, deadline)
         ub = None if upper is None else upper[0]
@@ -533,6 +533,9 @@ def _run_schedule(
             confirm = None
             if ub is not None and w >= ub and not _out_of_time(deadline):
                 confirm = smooth_decomposition(variant, upper[1], upper[2], w)
+            if deadline is not None:
+                # what is left of it; past it, a step ends after its root propagation
+                timeout = max(0.0, deadline - time.perf_counter())
             step = decide(
                 g,
                 m,
@@ -552,20 +555,10 @@ def _run_schedule(
     except KeyboardInterrupt:
         raise ScheduleInterrupted(trace, lb, ub) from None
 
-    last_sat = None
-    for step in trace:
-        if step.status is Status.SAT:
-            last_sat = step
-    if last_sat is None:
+    sat = [step for step in trace if step.status is Status.SAT]
+    if not sat:
         raise RuntimeError("the single-node step cannot be unsatisfiable")
-    return WidthResult(
-        min_width=last_sat.w,
-        witness=last_sat.witness,
-        trace=trace,
-        variant=variant,
-        lb=lb,
-        ub=ub,
-    )
+    return WidthResult(sat[-1].w, sat[-1].witness, trace, variant, lb, ub)
 
 
 def treewidth(

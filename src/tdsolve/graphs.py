@@ -42,10 +42,6 @@ class Graph(namedtuple("Graph", ("n", "edges", "adjacency"))):
             adjacency=tuple(frozenset(s) for s in adj),
         )
 
-    @property
-    def edge_count(self) -> int:
-        return len(self.edges)
-
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import math
 import random
 import time
 import tracemalloc
@@ -294,38 +295,80 @@ def test_a_finished_result_holds_no_model():
     assert held < 0.6e6
 
 
-def test_timeout_caps_a_large_graph():
-    # 1,000 vertices, 5,000 edges: the schedule stops at the timeout of
-    # step (2, 999), and the upper bound's order is capped by the same
-    # budget, so the whole run takes well under two timeouts and a build.
+def large_graph():
+    """1,000 vertices, 5,000 edges: the stronger bounds alone would take
+    longer than any timeout below."""
     rng = random.Random(7)
     edges = set()
     while len(edges) < 5000:
         u, v = sorted(rng.sample(range(1000), 2))
         edges.add((u, v))
-    g = Graph.from_edges(1000, edges)
+    return Graph.from_edges(1000, edges)
+
+
+def test_timeout_caps_a_large_graph():
+    # the bounds stop at the deadline, step (1, 1000) passes its root
+    # propagation and step (2, 999), searched with no time left, ends
+    # the schedule: one timeout and two model builds in all
+    g = large_graph()
     for run in (treewidth, pathwidth):
         start = time.perf_counter()
         with pytest.raises(SearchLimitExceeded) as err:
             run(g, timeout=0.5)
-        assert time.perf_counter() - start < 1.8
+        assert time.perf_counter() - start < 0.8
         assert err.value.step.status is Status.INDETERMINATE
 
 
-def test_timeout_leaves_the_confirmations_part_of_the_budget():
-    # the graph of test_timeout_caps_a_large_graph: the stronger bounds
-    # would fill the whole timeout, but take at most half of what is left
-    # once the greedy bounds are done, so the first steps still dive
-    rng = random.Random(7)
-    edges = set()
-    while len(edges) < 5000:
-        u, v = sorted(rng.sample(range(1000), 2))
-        edges.add((u, v))
-    g = Graph.from_edges(1000, edges)
+def test_timeout_caps_the_whole_schedule():
+    # one deadline for the bounds, the confirmations and the searched
+    # steps: a step past it is not given a fresh timeout
+    g = large_graph()
+    for run in (treewidth, pathwidth):
+        start = time.perf_counter()
+        with pytest.raises(SearchLimitExceeded) as err:
+            run(g, timeout=1.0)
+        assert time.perf_counter() - start < 1.3
+        assert err.value.ub is not None and err.value.lb < err.value.ub
+
+
+def test_timeout_leaves_a_long_search_what_the_bounds_did_not_spend():
+    # draw 10 (0-based) of G(10, 0.7) from random.Random(1007): quick
+    # bounds lb=4, ub=6, five steps confirmed by the order, then the gap
+    # step (6, 5) searches until the deadline (some 48,000 decisions)
+    rng = random.Random(1007)
+    g = [random_graph(10, 0.7, rng) for _ in range(11)][-1]
+    start = time.perf_counter()
     with pytest.raises(SearchLimitExceeded) as err:
-        pathwidth(g, timeout=0.5)
-    assert err.value.trace[0].confirmed
-    assert err.value.ub is not None and err.value.lb < err.value.ub
+        treewidth(g, timeout=1.0)
+    assert time.perf_counter() - start < 1.3
+    assert (err.value.lb, err.value.ub) == (4, 6)
+    assert [(s.m, s.w, s.status, s.confirmed) for s in err.value.trace] == [
+        *((m, 11 - m, Status.SAT, True) for m in range(1, 6)),
+        (6, 5, Status.INDETERMINATE, False),
+    ]
+    assert err.value.step.report.decisions > 0
+
+
+@pytest.mark.parametrize(
+    "limits",
+    [{"timeout": math.nan}, {"timeout": math.inf}, {"timeout": -1.0}, {"decision_limit": -3}],
+    ids=["nan-timeout", "inf-timeout", "negative-timeout", "negative-decision-limit"],
+)
+def test_bad_limits_raise_before_any_work(limits, monkeypatch):
+    # a NaN timeout never expires (it searched the gap step of
+    # test_decision_limit_gives_indeterminate to UNSAT), and a negative
+    # limit would quietly mean INDETERMINATE
+    def no_work(*args, **kwargs):
+        raise AssertionError("work began before the limits were checked")
+
+    monkeypatch.setattr(driver, "build_model", no_work)
+    monkeypatch.setattr(driver, "minor_min_width", no_work)
+    g = cycle_graph(5)
+    name = next(iter(limits))
+    for call in (decide, treewidth, pathwidth):
+        args = (g, 2, 4) if call is decide else (g,)
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            call(*args, **limits)
 
 
 def test_rejects_empty_graph():

@@ -8,10 +8,13 @@ that parses has at most 4 vertices and its schedule is quick. A deleted,
 duplicated or moved line breaks the header's edge count or order on
 most mutants, so every other one gets its header rewritten to match its
 edge lines: 48 of the 120 then reach a schedule, against 18 without.
+Each schedule also runs under ``--timeout 0`` and ``--decision-limit 0``:
+an unfinished one exits 2 with ``INDETERMINATE`` as its last line.
 """
 
 from __future__ import annotations
 
+import collections
 import random
 
 import pytest
@@ -71,6 +74,7 @@ def test_mutated_inputs_never_escape(seed, tmp_path, capsys):
     gr, edges, td = tmp_path / "g.gr", tmp_path / "g.txt", tmp_path / "g.td"
     codes, solver_codes = set(), set()
     schedules = 0
+    limited = collections.Counter()
     for i in range(30):
         # every other mutant gets a header that counts its edge lines
         gr_text = mutate(GR, rng)
@@ -98,7 +102,19 @@ def test_mutated_inputs_never_escape(seed, tmp_path, capsys):
             assert code in (0, 1, 2, 10, 20), (argv, code)
             solver_codes.add(code)
             schedules += argv[0] == "treewidth" and code != 1
+        for command in ("treewidth", "pathwidth"):
+            for limit in ("--timeout", "--decision-limit"):
+                code = main([command, str(gr), limit, "0"])
+                out = capsys.readouterr().out.splitlines()
+                assert code in (0, 1, 2), (command, limit, code)
+                # an unfinished schedule prints its steps, then INDETERMINATE
+                assert code != 2 or out[-1] == "INDETERMINATE", (command, limit, out)
+                limited[limit, code] += 1
     assert codes == {0, 1}  # the mutants reach both accepting and rejecting paths
     assert {0, 1} <= solver_codes  # some mutants are solved, others rejected
     # 11-13 of 30 per seed reach a schedule (2-6 without the rewritten headers)
     assert schedules >= 10
+    # the deadline of --timeout 0 passes before the order is built, so a
+    # schedule stops at its first step that needs a decision; a decision
+    # limit of 0 stops only a gap step, and no graph here has one
+    assert limited["--timeout", 2] >= 20 and limited["--decision-limit", 0] >= 20
