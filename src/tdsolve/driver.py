@@ -92,10 +92,6 @@ class ScheduleStep:
     decisions, propagations or fails. A ``confirmed`` step is SAT by
     the greedy order's decomposition, which the model accepted by
     propagation alone; its report counts no decisions or fails.
-
-    A schedule step keeps the decomposition in ``witness`` and the
-    counts in ``report``, whose ``witness``, the model's assignment
-    keyed by its (unlinked) variables, only ``decide`` hands out.
     """
 
     __slots__ = ("m", "w", "status", "report", "witness", "bound", "confirmed")
@@ -175,7 +171,6 @@ def decide(
     m: int,
     w: int,
     variant: Variant = Variant.TREE,
-    symmetry_breaking: bool = True,
     decision_limit: int | None = None,
     timeout: float | None = None,
     confirm: TreeDecomposition | None = None,
@@ -187,11 +182,11 @@ def decide(
     time limits, which ``check_limits`` checks first. With it, a
     decomposition with m nodes of at most w vertices (in path order for
     PATH), the model confirms that decomposition instead: built without
-    the lex cut (``symmetry_breaking`` applies to searches only), it has
-    the node sets and parents fixed as given by ``encode_decomposition``,
-    and the search, allowed no decision, must find the rest by
-    propagation. The step is SAT with no decision or fail, its witness
-    equals ``confirm``, and the limits do not apply.
+    the lex cut, which every search has, it has the node sets and
+    parents fixed as given by ``encode_decomposition``, and the search,
+    allowed no decision, must find the rest by propagation. The step is
+    SAT with no decision or fail, its witness equals ``confirm``, and
+    the limits do not apply.
     A decomposition the model rejects raises RuntimeError; one whose
     node count or vertices do not fit the instance, or whose parent
     pointers do not form a tree (for PATH, do not hang each node i >= 1
@@ -201,8 +196,7 @@ def decide(
     """
     check_limits(decision_limit, timeout)
     # a confirmation makes no decision, so the lex cut has nothing to prune
-    lex = symmetry_breaking and confirm is None
-    mi = build_model(g, m, w, variant=variant, symmetry_breaking=lex, smooth=smooth)
+    mi = build_model(g, m, w, variant=variant, symmetry_breaking=confirm is None, smooth=smooth)
     try:
         if confirm is not None:
             encode_decomposition(mi, confirm)
@@ -216,7 +210,7 @@ def decide(
             )
         witness = None
         if report.status is Status.SAT:
-            td = extract_decomposition(mi, report.witness)
+            td = extract_decomposition(mi)
             violations = validate(
                 g, td, expect_m=m, expect_w=w, expect_path=variant is Variant.PATH
             )
@@ -527,7 +521,7 @@ def _run_schedule(
         bound_s = time.perf_counter() - start
         for m, w in _schedule_pairs(g.n):
             if w <= lb:
-                report = SolveReport(Status.UNSAT, None, 0, 0, 0, bound_s)
+                report = SolveReport(Status.UNSAT, 0, 0, 0, bound_s)
                 trace.append(ScheduleStep(m, w, Status.UNSAT, report, None, bound=minor))
                 break
             confirm = None
@@ -546,7 +540,6 @@ def _run_schedule(
                 confirm=confirm,
                 smooth=confirm is None,
             )
-            step.report.witness = None  # step.witness keeps the decomposition
             trace.append(step)
             if step.status is Status.UNSAT:
                 break

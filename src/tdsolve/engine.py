@@ -61,12 +61,6 @@ class IntVar:
             raise ValueError(f"{self!r} is not fixed")
         return self.mask.bit_length() - 1
 
-    def min(self) -> int:
-        return (self.mask & -self.mask).bit_length() - 1
-
-    def max(self) -> int:
-        return self.mask.bit_length() - 1
-
     def contains(self, v: int) -> bool:
         return v >= 0 and (self.mask >> v) & 1 == 1
 
@@ -230,19 +224,17 @@ class Status(Enum):
 
 
 class SolveReport:
-    __slots__ = ("status", "witness", "decisions", "propagations", "fails", "elapsed")
+    __slots__ = ("status", "decisions", "propagations", "fails", "elapsed")
 
     def __init__(
         self,
         status: Status,
-        witness: dict | None,  # var -> int (IntVar) or frozenset (SetVar)
         decisions: int,
         propagations: int,
         fails: int,
         elapsed: float,
     ) -> None:
         self.status = status
-        self.witness = witness
         self.decisions = decisions
         self.propagations = propagations
         self.fails = fails
@@ -254,7 +246,7 @@ class Solver:
 
     Single-threaded during search; independent instances do not share
     anything and may run concurrently. ``unlink`` ends a decided model:
-    its variables keep their masks, so a witness handed out still reads.
+    its variables keep their masks, so a solved one still reads.
     """
 
     def __init__(self) -> None:
@@ -346,9 +338,10 @@ class Solver:
         in the first set where it is undecided. Once they are all fixed,
         it branches on set membership (include before exclude, lowest
         variable and element first) until every variable is fixed.
-        Returns the first full assignment, or UNSAT after exhausting the
-        tree, or INDETERMINATE when a limit is hit. With a decision limit
-        of 0 it only confirms what propagation alone fixes.
+        Returns SAT at the first full assignment and leaves every variable
+        fixed to it, so the solved model is its own witness; UNSAT after
+        exhausting the tree, or INDETERMINATE when a limit is hit. With a
+        decision limit of 0 it only confirms what propagation alone fixes.
         """
         dvars = list(self.int_vars) if decision_vars is None else list(decision_vars)
         self.decisions = 0
@@ -356,10 +349,9 @@ class Solver:
         self.fails = 0
         start = time.perf_counter()
 
-        def report(status: Status, witness=None) -> SolveReport:
+        def report(status: Status) -> SolveReport:
             return SolveReport(
                 status=status,
-                witness=witness,
                 decisions=self.decisions,
                 propagations=self.propagations,
                 fails=self.fails,
@@ -375,7 +367,7 @@ class Solver:
         while True:
             alternatives = self._branch(dvars)
             if alternatives is None:
-                return report(Status.SAT, self._witness())
+                return report(Status.SAT)
             if decision_limit is not None and self.decisions >= decision_limit:
                 return report(Status.INDETERMINATE)
             if timeout is not None and time.perf_counter() - start > timeout:
@@ -441,14 +433,6 @@ class Solver:
         else:
             var.exclude(v)
 
-    def _witness(self) -> dict:
-        witness: dict = {}
-        for var in self.int_vars:
-            witness[var] = var.value()
-        for svar in self.set_vars:
-            witness[svar] = svar.value()
-        return witness
-
     def check_witness(self, witness: dict) -> bool:
         """Audit an assignment against every posted constraint's semantics.
 
@@ -459,7 +443,8 @@ class Solver:
 
     def unlink(self) -> None:
         """Break the model's reference cycles: empty every watcher list,
-        the variable and propagator lists, the trail and the queue."""
+        the variable and propagator lists, the trail and the queue. The
+        variables keep their values."""
         for var in self.int_vars:
             var.watchers.clear()
         for svar in self.set_vars:

@@ -42,9 +42,6 @@ class Graph(namedtuple("Graph", ("n", "edges", "adjacency"))):
             adjacency=tuple(frozenset(s) for s in adj),
         )
 
-    def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
-
 
 class TreeDecomposition(namedtuple("TreeDecomposition", ("nodes", "parent"))):
     """Rooted tree of vertex sets, in parent-pointer form.
@@ -68,10 +65,6 @@ class TreeDecomposition(namedtuple("TreeDecomposition", ("nodes", "parent"))):
     def width(self) -> int:
         """Cardinality of the largest node."""
         return max(len(b) for b in self.nodes)
-
-    def tree_edges(self) -> list[tuple[int, int]]:
-        """Edges (parent[i], i) for every non-root node i."""
-        return [(self.parent[i], i) for i in range(1, len(self.nodes))]
 
     @classmethod
     def from_parents(

@@ -153,13 +153,11 @@ def build_model(
     )
 
 
-def extract_decomposition(mi: ModelInstance, witness: dict) -> TreeDecomposition:
-    """Read a SAT assignment back into a TreeDecomposition."""
-    try:
-        nodes = tuple(witness[x] for x in mi.node_sets)
-        parent = tuple(witness[p] for p in mi.parents)
-    except KeyError as exc:
-        raise RuntimeError(f"witness is missing a variable: {exc}") from None
+def extract_decomposition(mi: ModelInstance) -> TreeDecomposition:
+    """Read the node sets and parents of the solved model mi into a
+    TreeDecomposition. Raises ValueError if one of them is not fixed."""
+    nodes = tuple(x.value() for x in mi.node_sets)
+    parent = tuple(p.value() for p in mi.parents)
     return TreeDecomposition(nodes=nodes, parent=parent)
 
 

@@ -6,8 +6,9 @@ from __future__ import annotations
 import itertools
 import random
 
-from tdsolve.engine import Solver
+from tdsolve.engine import SolveReport, Solver
 from tdsolve.graphs import Graph
+from tdsolve.model import build_model
 
 
 def path_graph(n):
@@ -97,6 +98,18 @@ def snapshot(solver: Solver):
     ints = tuple(v.mask for v in solver.int_vars)
     sets = tuple((s.required, s.possible) for s in solver.set_vars)
     return ints, sets
+
+
+def search_without_lex(g: Graph, m: int, w: int) -> SolveReport:
+    """Search the tree instance (m, w) on the model without the lex cut."""
+    mi = build_model(g, m, w, symmetry_breaking=False)
+    return mi.solver.solve(decision_vars=mi.decision_vars)
+
+
+def solved_assignment(solver: Solver) -> dict:
+    """Every variable of a solved model keyed to its value, the form
+    ``Solver.check_witness`` audits. Raises ValueError if one is not fixed."""
+    return {var: var.value() for var in (*solver.int_vars, *solver.set_vars)}
 
 
 def enumerate_assignments(solver: Solver, int_masks, set_bounds):

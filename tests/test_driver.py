@@ -7,6 +7,7 @@ import math
 import random
 import time
 import tracemalloc
+import types
 
 import pytest
 
@@ -30,7 +31,7 @@ from tdsolve.driver import (
     smooth_decomposition,
     treewidth,
 )
-from tdsolve.engine import Status
+from tdsolve.engine import IntVar, SetVar, Solver, Status
 from tdsolve.graphs import Graph, TreeDecomposition
 from tdsolve.model import Variant, build_model
 from tdsolve.oracle import brute_pathwidth, brute_treewidth
@@ -290,9 +291,33 @@ def test_a_finished_result_holds_no_model():
     finally:
         tracemalloc.stop()
     assert result.min_width == 2
-    # the steps' decompositions take about 0.27 MB; the models'
-    # assignments, kept as well, would take 2.11 MB
+    # the steps' decompositions take about 0.27 MB
     assert held < 0.6e6
+
+
+def _reachable(root):
+    """Every object reachable from root through gc.get_referents,
+    short of classes and modules."""
+    seen = {id(root)}
+    stack = [root]
+    found = []
+    while stack:
+        for ref in gc.get_referents(stack.pop()):
+            if id(ref) in seen or isinstance(ref, (type, types.ModuleType)):
+                continue
+            seen.add(id(ref))
+            found.append(ref)
+            stack.append(ref)
+    return found
+
+
+def test_a_decided_step_reaches_no_model():
+    # the solved model is its own witness: decide reads the
+    # decomposition out of it and keeps nothing else of it
+    step = decide(path_graph(10), 9, 2)
+    assert step.status is Status.SAT
+    model = [obj for obj in _reachable(step) if isinstance(obj, (IntVar, SetVar, Solver))]
+    assert model == []
 
 
 def large_graph():

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from helpers import snapshot, solutions_within, tighten_randomly
+from helpers import snapshot, solutions_within, solved_assignment, tighten_randomly
 from tdsolve.engine import Propagator, Solver, Status
 from tdsolve.propagators import CardinalityAtMost, UnionEquals
 
@@ -78,7 +78,7 @@ def test_search_fixes_set_vars_through_fallback():
     s.post(UnionEquals([x], 0b111))
     report = s.solve()
     assert report.status is Status.SAT
-    assert report.witness[x] == frozenset({0, 1, 2})
+    assert x.value() == frozenset({0, 1, 2})
 
 
 def test_witness_satisfies_all_constraints():
@@ -91,7 +91,7 @@ def test_witness_satisfies_all_constraints():
     a.restrict(0b10)
     report = s.solve(decision_vars=[a, b, c])
     assert report.status is Status.SAT
-    assert s.check_witness(report.witness)
+    assert s.check_witness(solved_assignment(s))
 
 
 def test_min_domain_ties_break_by_position():
@@ -104,7 +104,7 @@ def test_min_domain_ties_break_by_position():
     s.post(Implies(x, y))
     report = s.solve(decision_vars=[y, x])
     assert report.status is Status.SAT
-    assert report.witness[x] == 0 and report.witness[y] == 0
+    assert x.value() == 0 and y.value() == 0
     assert report.decisions == 1
 
 
@@ -196,7 +196,7 @@ def test_search_complete_against_enumeration():
         report = s.solve()
         assert (report.status is Status.SAT) == expected
         if report.status is Status.SAT:
-            assert s.check_witness(report.witness)
+            assert s.check_witness(solved_assignment(s))
 
 
 def test_trail_restores_bounds_exactly():

@@ -14,7 +14,9 @@ from helpers import (
     cycle_graph,
     path_graph,
     random_graph,
+    search_without_lex,
     snapshot,
+    solved_assignment,
 )
 from tdsolve.driver import _schedule_pairs, decide, smooth_decomposition, upper_bound
 from tdsolve.engine import Status
@@ -112,7 +114,7 @@ def test_extract_k3_single_node():
     mi = build_model(complete_graph(3), m=1, w=3)
     report = mi.solver.solve(decision_vars=mi.decision_vars)
     assert report.status is Status.SAT
-    td = extract_decomposition(mi, report.witness)
+    td = extract_decomposition(mi)
     assert td.nodes == (frozenset({0, 1, 2}),)
     assert td.parent == (0,)
     assert td.width == 3
@@ -123,21 +125,35 @@ def test_extract_p3_two_nodes():
     mi = build_model(g, m=2, w=2)
     report = mi.solver.solve(decision_vars=mi.decision_vars)
     assert report.status is Status.SAT
-    td = extract_decomposition(mi, report.witness)
+    td = extract_decomposition(mi)
     assert validate(g, td, expect_m=2, expect_w=2) == []
     assert 1 in td.nodes[0] and 1 in td.nodes[1]  # shared middle vertex
 
 
-def test_extract_missing_variable_is_internal_error():
-    mi = build_model(path_graph(2), m=1, w=2)
-    with pytest.raises(RuntimeError):
-        extract_decomposition(mi, {})
+def test_extract_from_an_unsolved_model_raises():
+    mi = build_model(path_graph(3), m=2, w=2)
+    with pytest.raises(ValueError):
+        extract_decomposition(mi)
+    assert mi.solver.propagate()  # the root fixpoint leaves node sets open
+    with pytest.raises(ValueError):
+        extract_decomposition(mi)
 
 
-def _model_depths(step):
-    """The values of a SAT step's depth variables, by node index."""
-    by_name = {var.name: value for var, value in step.report.witness.items()}
-    return [by_name[f"depth{i}"] for i in range(step.m)]
+def test_a_sat_solve_leaves_every_variable_fixed():
+    rng = random.Random(7)
+    solved = 0
+    for _ in range(12):
+        g = random_graph(rng.randint(2, 6), 0.5, rng)
+        for variant, smooth in itertools.product(Variant, (False, True)):
+            for m, w in _schedule_pairs(g.n)[:3]:
+                mi = build_model(g, m, w, variant=variant, smooth=smooth)
+                report = mi.solver.solve(decision_vars=mi.decision_vars)
+                if report.status is not Status.SAT:
+                    continue
+                variables = mi.solver.int_vars + mi.solver.set_vars
+                assert all(var.is_fixed() for var in variables), (g.edges, variant, m, w)
+                solved += 1
+    assert solved > 100
 
 
 def _hops_to_root(parent, i):
@@ -154,13 +170,14 @@ def test_every_witness_validates():
     for _ in range(20):
         g = random_graph(rng.randint(2, 5), 0.5, rng)
         for m, w in _schedule_pairs(g.n):
-            step = decide(g, m, w)
-            if step.status is not Status.SAT:
+            mi = build_model(g, m, w)
+            if mi.solver.solve(decision_vars=mi.decision_vars).status is not Status.SAT:
                 break
-            assert validate(g, step.witness, expect_m=m, expect_w=w) == []
+            td = extract_decomposition(mi)
+            assert validate(g, td, expect_m=m, expect_w=w) == []
             # the model's depths are the hop counts of the extracted tree
-            depths = [_hops_to_root(step.witness.parent, i) for i in range(m)]
-            assert _model_depths(step) == depths
+            depths = [_hops_to_root(td.parent, i) for i in range(m)]
+            assert [d.value() for d in mi.depths] == depths
             deepest = max(deepest, *depths)
     assert deepest >= 3
 
@@ -172,7 +189,7 @@ def test_witness_passes_straight_line_constraint_audit():
         mi = build_model(g, m=min(3, g.n), w=max(2, g.n - 1))
         report = mi.solver.solve(decision_vars=mi.decision_vars)
         assert report.status is Status.SAT
-        assert mi.solver.check_witness(report.witness)
+        assert mi.solver.check_witness(solved_assignment(mi.solver))
 
 
 def test_path_variant_parent_chain():
@@ -180,7 +197,10 @@ def test_path_variant_parent_chain():
     step = decide(g, 3, 2, variant=Variant.PATH)
     assert step.status is Status.SAT
     assert step.witness.parent == (0, 0, 1)
-    assert not any(var.name.startswith("depth") for var in step.report.witness)
+    mi = build_model(g, 3, 2, variant=Variant.PATH)
+    assert mi.solver.solve(decision_vars=mi.decision_vars).status is Status.SAT
+    assert mi.depths == []
+    assert not any(var.name.startswith("depth") for var in solved_assignment(mi.solver))
 
 
 def _assert_at_fixpoint(solver):
@@ -226,8 +246,8 @@ def test_lex_toggle_preserves_outcomes_small():
     for n in range(1, 4):
         for g in all_labeled_graphs(n):
             for m, w in _schedule_pairs(n):
-                with_lex = decide(g, m, w, symmetry_breaking=True)
-                without = decide(g, m, w, symmetry_breaking=False)
+                with_lex = decide(g, m, w)
+                without = search_without_lex(g, m, w)
                 assert with_lex.status == without.status
 
 
@@ -236,8 +256,8 @@ def test_lex_toggle_preserves_outcomes_sampled_n5():
     for _ in range(40):
         g = random_graph(5, 0.5, rng)
         for m, w in _schedule_pairs(5):
-            with_lex = decide(g, m, w, symmetry_breaking=True)
-            without = decide(g, m, w, symmetry_breaking=False)
+            with_lex = decide(g, m, w)
+            without = search_without_lex(g, m, w)
             assert with_lex.status == without.status, (g.edges, m, w)
 
 
@@ -260,8 +280,8 @@ def test_encoding_inverts_extraction_and_dives_without_a_fail():
                 report = mi.solver.solve(decision_vars=mi.decision_vars, decision_limit=0)
                 assert report.status is Status.SAT, (g.edges, variant, w)
                 assert (report.decisions, report.fails) == (0, 0)
-                assert mi.solver.check_witness(report.witness), (g.edges, variant, w)
-                assert extract_decomposition(mi, report.witness) == given, (g.edges, variant, w)
+                assert mi.solver.check_witness(solved_assignment(mi.solver)), (g.edges, variant, w)
+                assert extract_decomposition(mi) == given, (g.edges, variant, w)
                 checked += 1
     assert checked > 100
 
@@ -286,8 +306,8 @@ def test_encoding_keeps_the_nodes_as_given():
     encode_decomposition(mi, given)
     report = mi.solver.solve(decision_vars=mi.decision_vars, decision_limit=0)
     assert report.status is Status.SAT
-    assert extract_decomposition(mi, report.witness) == given
-    assert mi.solver.check_witness(report.witness)
+    assert extract_decomposition(mi) == given
+    assert mi.solver.check_witness(solved_assignment(mi.solver))
     with pytest.raises(ValueError):
         encode_decomposition(build_model(g, 2, 3), given)
 

@@ -339,8 +339,8 @@ def test_running_intersection_forces_guard_negation():
     # bound-level consequence of depth_i > depth_k
     assert not depth_i.contains(0)
     assert not depth_k.contains(3)
-    assert depth_i.min() > depth_k.min()
-    assert depth_k.max() < depth_i.max()
+    assert min(depth_i.domain()) > min(depth_k.domain())
+    assert max(depth_k.domain()) < max(depth_i.domain())
 
 
 def test_running_intersection_covers_every_other_node():
