@@ -188,9 +188,14 @@ class Propagator:
     bound changes. A propagator may leave out a set event only when that
     event can never enable new pruning by it: leaving out one it needs
     stops propagation short of the fixpoint.
+
+    A propagator whose single call reaches its own fixpoint declares
+    itself ``idempotent``: the changes it makes then do not wake it
+    again (Schulte & Stuckey, ACM TOPLAS 31(1), 2008).
     """
 
     __slots__ = ("queued",)
+    idempotent = False
 
     def __init__(
         self,
@@ -299,12 +304,16 @@ class Solver:
         try:
             while queue:
                 prop = queue.popleft()
-                prop.queued = False
+                # an idempotent one stays marked while it runs, so that
+                # its own changes do not queue it again
+                prop.queued = prop.idempotent
                 self.propagations += 1
                 prop.propagate()
-        except Inconsistent:
-            for prop in queue:
                 prop.queued = False
+        except Inconsistent:
+            prop.queued = False
+            for other in queue:
+                other.queued = False
             queue.clear()
             return False
         return True
@@ -334,10 +343,14 @@ class Solver:
         its values ascending; a set one offers each undecided element as
         a 0/1 choice, exclusion first, which ranks like a domain of two
         values. The choice with the smallest domain goes first, ties by
-        position; among the set elements, the lowest element goes first,
-        in the first set where it is undecided. Once they are all fixed,
-        it branches on set membership (include before exclude, lowest
-        variable and element first) until every variable is fixed.
+        position. A set element is a choice only while no decision set
+        requires it; among those, the one that the fewest decision sets
+        can still hold goes first, the lowest on ties, in the first set
+        where it is undecided (fail first: Haralick & Elliott, Artif.
+        Intell. 14, 1980). Once the integers are fixed and every element
+        is covered, it branches on set membership (include before
+        exclude, lowest variable and element first) until every variable
+        is fixed.
         Returns SAT at the first full assignment and leaves every variable
         fixed to it, so the solved model is its own witness; UNSAT after
         exhausting the tree, or INDETERMINATE when a limit is hit. With a
@@ -398,16 +411,38 @@ class Solver:
         chosen = None
         best_size = None
         open_elements = 0  # undecided in some decision set
+        covered = 0  # required by some decision set
+        # bit i of each element's count of the decision sets it is
+        # undecided in (a bit-sliced counter)
+        holders: list[int] = []
         for var in dvars:
             if type(var) is SetVar:
-                open_elements |= var.possible & ~var.required
+                required = var.required
+                carry = var.possible & ~required
+                open_elements |= carry
+                covered |= required
+                i = 0
+                while carry:  # add the set's undecided elements to the count
+                    if i == len(holders):
+                        holders.append(carry)
+                        break
+                    bit = holders[i]
+                    holders[i] = bit ^ carry
+                    carry &= bit
+                    i += 1
                 continue
             size = var.mask.bit_count()
             if size > 1 and (best_size is None or size < best_size):
                 chosen = var
                 best_size = size
-        if open_elements and best_size != 2:
-            low = open_elements & -open_elements
+        uncovered = open_elements & ~covered
+        if uncovered and best_size != 2:
+            # fewest holders first: from the top bit of the count down,
+            # keep the elements whose bit is clear, if any are
+            for bit in reversed(holders):
+                if uncovered & ~bit:
+                    uncovered &= ~bit
+            low = uncovered & -uncovered
             e = low.bit_length() - 1
             for var in dvars:
                 if type(var) is SetVar and var.possible & ~var.required & low:

@@ -28,6 +28,7 @@ class CardinalityAtMost(Propagator):
     events it reads."""
 
     __slots__ = ("x", "bound", "exact")
+    idempotent = True
 
     def __init__(self, x: SetVar, bound: int, exact: bool = False):
         if bound < 0:
@@ -120,6 +121,7 @@ class EdgeInNode(Propagator):
     endpoint of a required one out."""
 
     __slots__ = ("node", "edge_set", "ends", "incident")
+    idempotent = True
 
     def __init__(self, node: SetVar, edge_set: SetVar, ends: list[int], incident: list[int]):
         super().__init__([node, edge_set])
@@ -245,10 +247,28 @@ class RunningIntersection(Propagator):
         self.nodes = list(zip(range(len(node_sets)), depths, node_sets))  # (i, depth, set)
         self.smooth = smooth
 
+    def _settle_depths(self) -> None:
+        """Keep every child with a fixed parent one level below it, until
+        no depth changes: a chain of fixed parents settles in one call."""
+        depths = self.depths
+        changed = True
+        while changed:
+            changed = False
+            for k, parent in enumerate(self.parents[1:], 1):
+                candidates = parent.mask
+                if candidates & (candidates - 1) == 0:
+                    depth_k = depths[k]
+                    depth_p = depths[candidates.bit_length() - 1]
+                    if depth_k.mask != depth_p.mask << 1:
+                        depth_k.intersect(depth_p.mask << 1)
+                        depth_p.intersect(depth_k.mask >> 1)
+                        changed = True
+
     def propagate(self) -> None:
         nodes = self.nodes
         node_sets = self.node_sets
         smooth = self.smooth
+        self._settle_depths()
         for k, depth_k, node_k in nodes[1:]:
             parent = self.parents[k]
             for i, depth_i, node_i in nodes:
@@ -290,14 +310,8 @@ class RunningIntersection(Propagator):
                     depth_i.intersect(-1 << (dk & -dk).bit_length())
                     depth_k.intersect((1 << (di.bit_length() - 1)) - 1)
             candidates = parent.mask
-            if candidates & (candidates - 1) == 0:
-                p = candidates.bit_length() - 1
-                depth_p = self.depths[p]
-                if depth_k.mask != depth_p.mask << 1:
-                    depth_k.intersect(depth_p.mask << 1)
-                    depth_p.intersect(depth_k.mask >> 1)
-                if smooth:
-                    _smooth_step(node_k, node_sets[p])
+            if smooth and candidates & (candidates - 1) == 0:
+                _smooth_step(node_k, node_sets[candidates.bit_length() - 1])
 
     def satisfied(self, value_of) -> bool:
         depths = [value_of(d) for d in self.depths]

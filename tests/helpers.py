@@ -43,12 +43,12 @@ def random_graph(n, p, rng):
     return Graph.from_edges(n, edges)
 
 
-def draw_n9(seed, p, index):
-    """Draw ``index`` (0-based) of G(9, p) from random.Random(seed)."""
+def draw_graph(n, seed, p, index):
+    """Draw ``index`` (0-based) of G(n, p) from random.Random(seed)."""
     rng = random.Random(seed)
     for _ in range(index):
-        random_graph(9, p, rng)
-    return random_graph(9, p, rng)
+        random_graph(n, p, rng)
+    return random_graph(n, p, rng)
 
 
 def random_connected_graph(n, edge_count, rng):

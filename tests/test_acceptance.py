@@ -18,7 +18,7 @@ from helpers import (
     all_labeled_graphs,
     complete_graph,
     cycle_graph,
-    draw_n9,
+    draw_graph,
     edgeless_graph,
     random_connected_graph,
     random_constraint_instance,
@@ -119,11 +119,11 @@ N9_GAP_GRAPHS = [
             907,
             0.7,
             {
-                17: (4, 6, "UNSAT", 11054, 5528),
-                64: (4, 6, "UNSAT", 12840, 6421),
-                72: (4, 6, "UNSAT", 8652, 4327),
-                95: (4, 6, "UNSAT", 10870, 5436),
-                99: (4, 6, "UNSAT", 10310, 5156),
+                17: (4, 6, "UNSAT", 3070, 1536),
+                64: (4, 6, "UNSAT", 4492, 2247),
+                72: (4, 6, "UNSAT", 2510, 1256),
+                95: (4, 6, "UNSAT", 2142, 1072),
+                99: (4, 6, "UNSAT", 2772, 1387),
             },
         ),
         (
@@ -132,9 +132,9 @@ N9_GAP_GRAPHS = [
             903,
             0.3,
             {
-                14: (8, 2, "UNSAT", 964, 483),
-                73: (7, 3, "UNSAT", 7782, 3892),
-                92: (8, 2, "UNSAT", 910, 456),
+                14: (8, 2, "UNSAT", 608, 305),
+                73: (7, 3, "UNSAT", 1136, 569),
+                92: (8, 2, "UNSAT", 948, 475),
             },
         ),
         (
@@ -143,9 +143,9 @@ N9_GAP_GRAPHS = [
             905,
             0.5,
             {
-                48: (4, 6, "UNSAT", 3264, 1633),
-                81: (6, 4, "UNSAT", 9594, 4798),
-                84: (5, 5, "UNSAT", 12052, 6027),
+                48: (4, 6, "UNSAT", 478, 240),
+                81: (6, 4, "UNSAT", 1378, 690),
+                84: (5, 5, "UNSAT", 740, 371),
             },
         ),
     )
@@ -153,9 +153,9 @@ N9_GAP_GRAPHS = [
 ]
 
 
-@pytest.mark.parametrize("solve, brute, seed, p, index, step", N9_GAP_GRAPHS)
-def test_searched_gap_steps_at_n9_match_the_oracle(solve, brute, seed, p, index, step):
-    g = draw_n9(seed, p, index)
+def _assert_one_searched_step(solve, brute, g, step):
+    """The schedule's answer matches the oracle, its witness validates,
+    and it searched exactly ``step`` = (m, w, status, decisions, fails)."""
     result = solve(g)
     assert result.min_width == brute(g).width, g.edges
     assert validate(g, result.witness, expect_w=result.min_width) == []
@@ -165,6 +165,28 @@ def test_searched_gap_steps_at_n9_match_the_oracle(solve, brute, seed, p, index,
         if s.bound is None and not s.confirmed
     ]
     assert searched == [step]
+
+
+@pytest.mark.parametrize("solve, brute, seed, p, index, step", N9_GAP_GRAPHS)
+def test_searched_gap_steps_at_n9_match_the_oracle(solve, brute, seed, p, index, step):
+    _assert_one_searched_step(solve, brute, draw_graph(9, seed, p, index), step)
+
+
+# Seeded G(10, p) draws (0-based) whose gap steps are searched: one tree
+# and two path graphs, with their searched step as above.
+N10_GAP_GRAPHS = [
+    pytest.param(solve, brute, seed, p, index, step, id=f"{solve.__name__}-{seed}-{index}")
+    for solve, brute, seed, p, index, step in (
+        (treewidth, brute_treewidth, 1007, 0.7, 22, (4, 7, "UNSAT", 7853, 3928)),
+        (pathwidth, brute_pathwidth, 1003, 0.3, 16, (8, 3, "UNSAT", 6908, 3455)),
+        (pathwidth, brute_pathwidth, 1003, 0.3, 29, (7, 4, "UNSAT", 8576, 4289)),
+    )
+]
+
+
+@pytest.mark.parametrize("solve, brute, seed, p, index, step", N10_GAP_GRAPHS)
+def test_searched_gap_steps_at_n10_match_the_oracle(solve, brute, seed, p, index, step):
+    _assert_one_searched_step(solve, brute, draw_graph(10, seed, p, index), step)
 
 
 def test_criterion_4_known_families():

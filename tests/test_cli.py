@@ -253,7 +253,7 @@ def test_bad_search_limits_are_usage_errors(command, flag, value, k3, capsys):
 
 # The 11-edge G(7, 1/2) graph of the pw-random-n7 benchmark corpus: even
 # the stronger bounds leave its path step (5, 3) to search (minor-min-width
-# 2, greedy placement 4), and that takes 580 decisions
+# 2, greedy placement 4), and that takes 196 decisions
 GAP_GR = "p tw 7 11\n1 2\n1 6\n1 7\n2 7\n3 5\n3 6\n4 5\n4 7\n5 6\n5 7\n6 7\n"
 
 
@@ -275,7 +275,7 @@ def test_confirmed_step_line(gap, capsys):
     assert main(["pathwidth", gap]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[:2] == ["m=1 w=7 SAT decisions=0 by=order", "m=2 w=6 SAT decisions=0 by=order"]
-    assert lines[3:5] == ["m=4 w=4 SAT decisions=0 by=order", "m=5 w=3 UNSAT decisions=580"]
+    assert lines[3:5] == ["m=4 w=4 SAT decisions=0 by=order", "m=5 w=3 UNSAT decisions=196"]
     assert main(["pathwidth", gap, "--stats"]) == 0
     line = capsys.readouterr().out.splitlines()[1]
     assert line.startswith("m=2 w=6 SAT decisions=0 by=order propagations=")

@@ -15,7 +15,7 @@ from helpers import (
     all_labeled_graphs,
     complete_graph,
     cycle_graph,
-    draw_n9,
+    draw_graph,
     edgeless_graph,
     path_graph,
     random_graph,
@@ -35,6 +35,7 @@ from tdsolve.engine import IntVar, SetVar, Solver, Status
 from tdsolve.graphs import Graph, TreeDecomposition
 from tdsolve.model import Variant, build_model
 from tdsolve.oracle import brute_pathwidth, brute_treewidth
+from tdsolve.propagators import RunningIntersection
 from tdsolve.validator import validate
 
 
@@ -260,8 +261,8 @@ def test_a_confirmed_step_writes_the_orders_decomposition():
 def test_a_decided_step_leaves_no_cyclic_garbage():
     # each model is a reference cycle until its step unlinks it; with
     # the collector off, whatever gc.collect() then finds was left behind
-    tree17 = draw_n9(907, 0.7, 17)  # searches its tree step (4, 6)
-    path84 = draw_n9(905, 0.5, 84)  # searches its path step (5, 5)
+    tree17 = draw_graph(9, 907, 0.7, 17)  # searches its tree step (4, 6)
+    path84 = draw_graph(9, 905, 0.5, 84)  # searches its path step (5, 5)
     broken = TreeDecomposition.from_parents([{0, 1}, {2, 3}, {1, 2}], [0, 0, 1])
     gc.collect()
     gc.disable()
@@ -293,6 +294,28 @@ def test_a_finished_result_holds_no_model():
     assert result.min_width == 2
     # the steps' decompositions take about 0.27 MB
     assert held < 0.6e6
+
+
+def test_a_deep_chain_of_confirmed_nodes_settles_in_one_call(monkeypatch):
+    # every step of P60's schedule is confirmed from the greedy order,
+    # whose decomposition is a chain of fixed parents as deep as it has
+    # nodes. RunningIntersection settles the depths along it in its first
+    # call, so each step takes at most two: the first, and one more
+    # because its own changes wake it. Deriving one tree level per call
+    # took 1,770 calls here in all.
+    calls = 0
+    propagate = RunningIntersection.propagate
+
+    def counted(self):
+        nonlocal calls
+        calls += 1
+        propagate(self)
+
+    monkeypatch.setattr(RunningIntersection, "propagate", counted)
+    result = treewidth(path_graph(60))
+    assert result.min_width == 2
+    assert all(step.confirmed for step in result.trace if step.bound is None)
+    assert calls <= 2 * len(result.trace)
 
 
 def _reachable(root):

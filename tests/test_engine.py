@@ -7,7 +7,7 @@ import random
 import pytest
 
 from helpers import snapshot, solutions_within, solved_assignment, tighten_randomly
-from tdsolve.engine import Propagator, Solver, Status
+from tdsolve.engine import Inconsistent, Propagator, Solver, Status
 from tdsolve.propagators import CardinalityAtMost, UnionEquals
 
 
@@ -120,9 +120,10 @@ def _dive(s, dvars):
 
 
 def test_decision_set_elements_rank_between_two_and_more_values():
-    # every undecided element of a decision set is a 0/1 choice: after
-    # an integer of two values, before one of three; the lowest element
-    # first, in the first set where it is undecided, exclusion first
+    # every uncovered element of a decision set (one that no decision
+    # set requires) is a 0/1 choice: after an integer of two values,
+    # before one of three. Element 2, which b requires, is left to the
+    # labelling that follows, include first
     s = Solver()
     three = s.int_var(0, 2, "three")
     a = s.set_var(3, "a")
@@ -135,10 +136,56 @@ def test_decision_set_elements_rank_between_two_and_more_values():
         ("out", "b", 0, 2),
         ("out", "a", 1, 2),
         ("out", "b", 1, 2),
-        ("out", "a", 2, 2),
         ("=", "three", 0, 3),
+        ("in", "a", 2, 2),
     ]
-    assert (a.required, a.possible, b.required, b.possible) == (0, 0, 0b100, 0b100)
+    assert (a.required, a.possible, b.required, b.possible) == (0b100, 0b100, 0b100, 0b100)
+
+
+def test_branching_takes_the_uncovered_element_with_fewest_holders():
+    # holders per element: 0 is covered by s0 (and undecided in s1, s2),
+    # 1 has three holders, 2 and 4 two each, 3 one
+    s = Solver()
+    sets = [s.set_var(5, f"s{i}") for i in range(3)]
+    sets[0].include(0)
+    sets[0].exclude(2)
+    sets[0].exclude(3)
+    sets[1].exclude(3)
+    sets[1].exclude(4)
+    taken = []
+    while (alternatives := s._branch(sets)) is not None:
+        taken.append([(op, var.name, e) for op, var, e in alternatives])
+        s._apply(alternatives[-1])  # include, which covers the element
+    assert taken[:4] == [
+        [("out", "s2", 3), ("in", "s2", 3)],  # fewest holders
+        [("out", "s1", 2), ("in", "s1", 2)],  # a tie of two: lowest index
+        [("out", "s0", 4), ("in", "s0", 4)],
+        [("out", "s0", 1), ("in", "s0", 1)],  # first set that can hold it
+    ]
+    # every element is covered: the labelling fallback, include first
+    assert all(alts[0][0] == "in" for alts in taken[4:])
+
+
+def test_branching_agrees_with_a_straight_count_of_holders():
+    # the holder counts are bit-sliced; eleven sets give counts of up to
+    # four bits
+    rng = random.Random(5)
+    for _ in range(200):
+        s = Solver()
+        sets = [s.set_var(6) for _ in range(11)]
+        tighten_randomly(s, rng)
+        for x in sets:
+            x.required &= rng.choice((0, 0, 0, -1))
+        holders = [sum(x.undecided() >> e & 1 for x in sets) for e in range(6)]
+        covered = [any(x.required >> e & 1 for x in sets) for e in range(6)]
+        open_ = [e for e in range(6) if holders[e] and not covered[e]]
+        alternatives = s._branch(sets)
+        if not open_:
+            assert alternatives is None or alternatives[0][0] == "in"
+            continue
+        e = min(open_, key=lambda e: (holders[e], e))
+        first = next(x for x in sets if x.undecided() >> e & 1)
+        assert alternatives == [("out", first, e), ("in", first, e)]
 
 
 def test_decision_limit_returns_indeterminate():
@@ -160,6 +207,68 @@ def test_fixpoint_idempotent():
         s._schedule(prop)
     assert s.propagate()
     assert snapshot(s) == before
+
+
+class DropTop(Propagator):
+    """Removes the largest value of x while x has more than one: each
+    call makes one change, which wakes it again."""
+
+    __slots__ = ("x", "calls")
+
+    def __init__(self, x):
+        super().__init__([x])
+        self.x = x
+        self.calls = 0
+
+    def propagate(self) -> None:
+        self.calls += 1
+        if not self.x.is_fixed():
+            self.x.remove(self.x.mask.bit_length() - 1)
+
+
+class DropTopOnce(DropTop):
+    """DropTop declared idempotent: its own change no longer wakes it."""
+
+    __slots__ = ()
+    idempotent = True
+
+
+def test_an_idempotent_propagator_is_not_woken_by_its_own_changes():
+    for cls, calls, left in ((DropTop, 4, 0b1), (DropTopOnce, 1, 0b111)):
+        s = Solver()
+        x = s.int_var(0, 3)
+        prop = cls(x)
+        s.post(prop)
+        assert s.propagate()
+        assert (prop.calls, x.mask, prop.queued) == (calls, left, False)
+    # another propagator's change still wakes it
+    s = Solver()
+    x = s.int_var(0, 3)
+    props = [DropTopOnce(x), DropTopOnce(x)]
+    for prop in props:
+        s.post(prop)
+    assert s.propagate()
+    assert [prop.calls for prop in props] == [2, 2] and x.value() == 0
+
+
+class Fail(Propagator):
+    __slots__ = ()
+    idempotent = True
+
+    def propagate(self) -> None:
+        raise Inconsistent
+
+
+def test_a_failed_propagation_clears_every_queued_mark():
+    s = Solver()
+    x = s.int_var(0, 3)
+    props = [Fail(), DropTop(x), DropTopOnce(x)]
+    for prop in props:
+        s.post(prop)
+    assert not s.propagate()
+    assert not s._queue and not any(prop.queued for prop in props)
+    s._schedule(props[0])
+    assert props[0].queued and not s.propagate()
 
 
 def _random_micro_model(rng):

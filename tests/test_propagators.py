@@ -14,7 +14,8 @@ from helpers import (
     solutions_within,
     tighten_randomly,
 )
-from tdsolve.engine import Solver
+from tdsolve import propagators
+from tdsolve.engine import Inconsistent, Propagator, Solver
 from tdsolve.propagators import (
     CardinalityAtMost,
     EdgeInNode,
@@ -616,3 +617,33 @@ def test_filtering_sound_against_enumeration(seed):
             s._schedule(prop)
         assert s.propagate()
         assert snapshot(s) == before
+
+
+IDEMPOTENT = {
+    cls
+    for cls in vars(propagators).values()
+    if isinstance(cls, type) and issubclass(cls, Propagator) and cls.idempotent
+}
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_idempotent_propagators_reach_their_own_fixpoint_in_one_call(seed):
+    # the engine does not wake a propagator declared idempotent for its
+    # own changes, so a second call right after the first must change
+    # no domain
+    rng = random.Random(2000 + seed)
+    seen = set()
+    for _ in range(400):
+        s = random_constraint_instance(rng)
+        for prop in s.propagators:
+            if not prop.idempotent:
+                continue
+            seen.add(type(prop))
+            try:
+                prop.propagate()
+            except Inconsistent:
+                continue
+            before = snapshot(s)
+            prop.propagate()
+            assert snapshot(s) == before, type(prop).__name__
+    assert seen == IDEMPOTENT == {CardinalityAtMost, EdgeInNode}

@@ -4,13 +4,17 @@ Per-step (m, w, status, decisions, fails) of full treewidth and
 pathwidth schedules on twelve G(n, 1/2) graphs (eight with n = 6, four
 with n = 7, drawn with tests.helpers.random_graph from random.Random(1))
 and on test_cli's GAP_GR, whose path schedule searches a step.
-The tree values were recorded before propagators woke on typed set
-events, before RunningIntersection was merged per child node and before
-LexLeq ran on set bounds. An exact propagation change keeps every one
-of them; only the propagation count may move. The path values were
-re-recorded when one PathIntersection chain replaced the pairwise
-running intersection on paths: its fixpoint contains the pairwise one,
-so five of their steps searched fewer decisions, and none more.
+An exact propagation change keeps every one of them; only the
+propagation count may move. Every decision and fail count was
+re-recorded, with every status kept, when branching changed to take
+only the edge elements that no node holds yet, fewest candidate nodes
+first: branching shapes the search tree, so a change to it moves the
+counts where a propagation change may not. Of the 135 rows, 72 moved:
+19,979 decisions in all became 9,181, and three rows took 2 to 5 more.
+Before that, the tree values had held since before propagators woke
+on typed set events, and the path values were re-recorded once, when
+one PathIntersection chain replaced the pairwise running intersection
+on paths.
 
 Every pinned step is searched again through ``decide`` on the bare
 model, so the whole search tree stays pinned although the schedule no
@@ -50,109 +54,108 @@ PINNED = [
     (
         6,
         [(0, 1), (0, 4), (0, 5), (1, 2), (1, 5), (2, 3), (2, 5), (3, 5), (4, 5)],
-        [(1, 6, 'SAT', 0, 0), (2, 5, 'SAT', 5, 0), (3, 4, 'SAT', 11, 0), (4, 3, 'SAT', 56, 23),
-         (5, 2, 'UNSAT', 36, 19)],
-        [(1, 6, 'SAT', 0, 0), (2, 5, 'SAT', 5, 0), (3, 4, 'SAT', 15, 1), (4, 3, 'SAT', 26, 8),
-         (5, 2, 'UNSAT', 68, 35)],
+        [(1, 6, 'SAT', 0, 0), (2, 5, 'SAT', 5, 0), (3, 4, 'SAT', 11, 0), (4, 3, 'SAT', 38, 15),
+         (5, 2, 'UNSAT', 30, 16)],
+        [(1, 6, 'SAT', 0, 0), (2, 5, 'SAT', 5, 0), (3, 4, 'SAT', 12, 0), (4, 3, 'SAT', 23, 8),
+         (5, 2, 'UNSAT', 32, 17)],
     ),
     (
         6,
         [(0, 2), (0, 5), (1, 2), (1, 5), (2, 3), (2, 4), (2, 5), (3, 4), (3, 5), (4, 5)],
-        [(1, 6, 'SAT', 0, 0), (2, 5, 'SAT', 8, 1), (3, 4, 'SAT', 12, 0),
-         (4, 3, 'UNSAT', 336, 169)],
-        [(1, 6, 'SAT', 0, 0), (2, 5, 'SAT', 8, 1), (3, 4, 'SAT', 17, 1),
-         (4, 3, 'UNSAT', 208, 105)],
+        [(1, 6, 'SAT', 0, 0), (2, 5, 'SAT', 10, 3), (3, 4, 'SAT', 10, 0),
+         (4, 3, 'UNSAT', 324, 163)],
+        [(1, 6, 'SAT', 0, 0), (2, 5, 'SAT', 10, 3), (3, 4, 'SAT', 11, 0), (4, 3, 'UNSAT', 106, 54)],
     ),
     (
         6,
         [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (1, 2), (2, 3), (3, 4), (3, 5)],
-        [(1, 6, 'SAT', 0, 0), (2, 5, 'SAT', 7, 2), (3, 4, 'SAT', 14, 3), (4, 3, 'SAT', 54, 23),
+        [(1, 6, 'SAT', 0, 0), (2, 5, 'SAT', 7, 2), (3, 4, 'SAT', 14, 3), (4, 3, 'SAT', 32, 11),
          (5, 2, 'UNSAT', 30, 16)],
-        [(1, 6, 'SAT', 0, 0), (2, 5, 'SAT', 7, 2), (3, 4, 'SAT', 14, 2), (4, 3, 'SAT', 20, 7),
-         (5, 2, 'UNSAT', 68, 35)],
+        [(1, 6, 'SAT', 0, 0), (2, 5, 'SAT', 7, 2), (3, 4, 'SAT', 12, 2), (4, 3, 'SAT', 20, 7),
+         (5, 2, 'UNSAT', 32, 17)],
     ),
     (
         6,
         [(0, 3), (1, 2), (2, 5), (3, 4), (4, 5)],
-        [(1, 6, 'SAT', 0, 0), (2, 5, 'SAT', 4, 0), (3, 4, 'SAT', 8, 0), (4, 3, 'SAT', 19, 2),
+        [(1, 6, 'SAT', 0, 0), (2, 5, 'SAT', 4, 0), (3, 4, 'SAT', 8, 0), (4, 3, 'SAT', 17, 2),
          (5, 2, 'SAT', 10, 0), (6, 1, 'UNSAT', 10, 6)],
-        [(1, 6, 'SAT', 0, 0), (2, 5, 'SAT', 4, 0), (3, 4, 'SAT', 9, 0), (4, 3, 'SAT', 20, 3),
-         (5, 2, 'SAT', 28, 9), (6, 1, 'UNSAT', 10, 6)],
+        [(1, 6, 'SAT', 0, 0), (2, 5, 'SAT', 4, 0), (3, 4, 'SAT', 8, 0), (4, 3, 'SAT', 20, 4),
+         (5, 2, 'SAT', 17, 6), (6, 1, 'UNSAT', 10, 6)],
     ),
     (
         6,
         [(0, 1), (0, 5), (1, 2), (2, 3), (2, 4), (2, 5), (3, 4)],
-        [(1, 6, 'SAT', 0, 0), (2, 5, 'SAT', 9, 1), (3, 4, 'SAT', 12, 0), (4, 3, 'SAT', 22, 3),
-         (5, 2, 'UNSAT', 46, 24)],
-        [(1, 6, 'SAT', 0, 0), (2, 5, 'SAT', 9, 1), (3, 4, 'SAT', 13, 0), (4, 3, 'SAT', 17, 2),
-         (5, 2, 'UNSAT', 68, 35)],
+        [(1, 6, 'SAT', 0, 0), (2, 5, 'SAT', 9, 2), (3, 4, 'SAT', 11, 0), (4, 3, 'SAT', 19, 3),
+         (5, 2, 'UNSAT', 42, 22)],
+        [(1, 6, 'SAT', 0, 0), (2, 5, 'SAT', 9, 2), (3, 4, 'SAT', 10, 0), (4, 3, 'SAT', 15, 2),
+         (5, 2, 'UNSAT', 32, 17)],
     ),
     (
         6,
         [(0, 2), (0, 3), (1, 5), (3, 4), (3, 5)],
-        [(1, 6, 'SAT', 0, 0), (2, 5, 'SAT', 6, 0), (3, 4, 'SAT', 15, 1), (4, 3, 'SAT', 18, 1),
+        [(1, 6, 'SAT', 0, 0), (2, 5, 'SAT', 5, 0), (3, 4, 'SAT', 14, 1), (4, 3, 'SAT', 17, 1),
          (5, 2, 'SAT', 12, 0), (6, 1, 'UNSAT', 10, 6)],
-        [(1, 6, 'SAT', 0, 0), (2, 5, 'SAT', 6, 0), (3, 4, 'SAT', 14, 1), (4, 3, 'SAT', 15, 1),
-         (5, 2, 'SAT', 14, 2), (6, 1, 'UNSAT', 10, 6)],
+        [(1, 6, 'SAT', 0, 0), (2, 5, 'SAT', 5, 0), (3, 4, 'SAT', 13, 1), (4, 3, 'SAT', 13, 1),
+         (5, 2, 'SAT', 12, 2), (6, 1, 'UNSAT', 10, 6)],
     ),
     (
         6,
         [(0, 2), (2, 3), (2, 4), (3, 5)],
         [(1, 6, 'SAT', 0, 0), (2, 5, 'SAT', 6, 0), (3, 4, 'SAT', 13, 1), (4, 3, 'SAT', 21, 6),
-         (5, 2, 'SAT', 21, 3), (6, 1, 'UNSAT', 10, 6)],
-        [(1, 6, 'SAT', 0, 0), (2, 5, 'SAT', 6, 0), (3, 4, 'SAT', 9, 0), (4, 3, 'SAT', 21, 3),
-         (5, 2, 'SAT', 17, 3), (6, 1, 'UNSAT', 10, 6)],
+         (5, 2, 'SAT', 18, 3), (6, 1, 'UNSAT', 10, 6)],
+        [(1, 6, 'SAT', 0, 0), (2, 5, 'SAT', 6, 0), (3, 4, 'SAT', 9, 0), (4, 3, 'SAT', 20, 3),
+         (5, 2, 'SAT', 16, 3), (6, 1, 'UNSAT', 10, 6)],
     ),
     (
         6,
         [(0, 1), (0, 2), (0, 3), (1, 3), (1, 4), (1, 5), (2, 3)],
-        [(1, 6, 'SAT', 0, 0), (2, 5, 'SAT', 6, 0), (3, 4, 'SAT', 13, 0), (4, 3, 'SAT', 88, 39),
+        [(1, 6, 'SAT', 0, 0), (2, 5, 'SAT', 6, 0), (3, 4, 'SAT', 11, 0), (4, 3, 'SAT', 29, 9),
          (5, 2, 'UNSAT', 30, 16)],
-        [(1, 6, 'SAT', 0, 0), (2, 5, 'SAT', 6, 0), (3, 4, 'SAT', 12, 0), (4, 3, 'SAT', 27, 7),
-         (5, 2, 'UNSAT', 68, 35)],
+        [(1, 6, 'SAT', 0, 0), (2, 5, 'SAT', 6, 0), (3, 4, 'SAT', 10, 0), (4, 3, 'SAT', 22, 6),
+         (5, 2, 'UNSAT', 32, 17)],
     ),
     (
         7,
         [(0, 1), (0, 4), (0, 5), (0, 6), (1, 3), (1, 4), (1, 6), (2, 3), (2, 4), (2, 6), (3, 4),
          (3, 6), (4, 5), (4, 6), (5, 6)],
-        [(1, 7, 'SAT', 0, 0), (2, 6, 'SAT', 6, 0), (3, 5, 'SAT', 13, 0),
-         (4, 4, 'SAT', 491, 239), (5, 3, 'UNSAT', 2350, 1176)],
-        [(1, 7, 'SAT', 0, 0), (2, 6, 'SAT', 6, 0), (3, 5, 'SAT', 23, 2), (4, 4, 'SAT', 59, 23),
-         (5, 3, 'UNSAT', 352, 177)],
+        [(1, 7, 'SAT', 0, 0), (2, 6, 'SAT', 6, 0), (3, 5, 'SAT', 13, 0), (4, 4, 'SAT', 247, 119),
+         (5, 3, 'UNSAT', 1148, 575)],
+        [(1, 7, 'SAT', 0, 0), (2, 6, 'SAT', 6, 0), (3, 5, 'SAT', 14, 0), (4, 4, 'SAT', 37, 14),
+         (5, 3, 'UNSAT', 122, 62)],
     ),
     (
         7,
         [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 5), (1, 6), (2, 3), (2, 5), (3, 6)],
-        [(1, 7, 'SAT', 0, 0), (2, 6, 'SAT', 7, 0), (3, 5, 'SAT', 18, 3), (4, 4, 'SAT', 21, 3),
-         (5, 3, 'UNSAT', 1394, 700)],
-        [(1, 7, 'SAT', 0, 0), (2, 6, 'SAT', 7, 0), (3, 5, 'SAT', 22, 3), (4, 4, 'SAT', 42, 14),
-         (5, 3, 'UNSAT', 336, 169)],
+        [(1, 7, 'SAT', 0, 0), (2, 6, 'SAT', 7, 0), (3, 5, 'SAT', 12, 0), (4, 4, 'SAT', 20, 3),
+         (5, 3, 'UNSAT', 850, 428)],
+        [(1, 7, 'SAT', 0, 0), (2, 6, 'SAT', 7, 0), (3, 5, 'SAT', 15, 0), (4, 4, 'SAT', 47, 17),
+         (5, 3, 'UNSAT', 116, 59)],
     ),
     (
         7,
         [(0, 1), (0, 3), (0, 5), (1, 2), (1, 3), (1, 6), (2, 4), (3, 4), (3, 5), (3, 6), (4, 6)],
-        [(1, 7, 'SAT', 0, 0), (2, 6, 'SAT', 7, 0), (3, 5, 'SAT', 26, 6), (4, 4, 'SAT', 118, 51),
-         (5, 3, 'UNSAT', 2214, 1108)],
-        [(1, 7, 'SAT', 0, 0), (2, 6, 'SAT', 7, 0), (3, 5, 'SAT', 30, 6), (4, 4, 'SAT', 25, 2),
-         (5, 3, 'UNSAT', 466, 234)],
+        [(1, 7, 'SAT', 0, 0), (2, 6, 'SAT', 6, 0), (3, 5, 'SAT', 19, 3), (4, 4, 'SAT', 47, 15),
+         (5, 3, 'UNSAT', 1160, 581)],
+        [(1, 7, 'SAT', 0, 0), (2, 6, 'SAT', 6, 0), (3, 5, 'SAT', 23, 5), (4, 4, 'SAT', 23, 2),
+         (5, 3, 'UNSAT', 168, 85)],
     ),
     (
         7,
         [(0, 3), (1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (2, 5), (3, 4), (3, 5), (3, 6), (5, 6)],
-        [(1, 7, 'SAT', 0, 0), (2, 6, 'SAT', 6, 0), (3, 5, 'SAT', 12, 0),
-         (4, 4, 'SAT', 407, 197), (5, 3, 'UNSAT', 6512, 3257)],
-        [(1, 7, 'SAT', 0, 0), (2, 6, 'SAT', 6, 0), (3, 5, 'SAT', 17, 0), (4, 4, 'SAT', 34, 8),
-         (5, 3, 'UNSAT', 1010, 506)],
+        [(1, 7, 'SAT', 0, 0), (2, 6, 'SAT', 6, 0), (3, 5, 'SAT', 12, 0), (4, 4, 'SAT', 299, 148),
+         (5, 3, 'UNSAT', 2328, 1165)],
+        [(1, 7, 'SAT', 0, 0), (2, 6, 'SAT', 6, 0), (3, 5, 'SAT', 14, 0), (4, 4, 'SAT', 32, 9),
+         (5, 3, 'UNSAT', 332, 167)],
     ),
     # test_cli's GAP_GR: the schedule searches its path step (5, 3)
     (
         7,
         [(0, 1), (0, 5), (0, 6), (1, 6), (2, 4), (2, 5), (3, 4), (3, 6), (4, 5), (4, 6),
          (5, 6)],
-        [(1, 7, 'SAT', 0, 0), (2, 6, 'SAT', 6, 0), (3, 5, 'SAT', 25, 4), (4, 4, 'SAT', 41, 9),
-         (5, 3, 'SAT', 1077, 530), (6, 2, 'UNSAT', 120, 61)],
-        [(1, 7, 'SAT', 0, 0), (2, 6, 'SAT', 6, 0), (3, 5, 'SAT', 30, 4), (4, 4, 'SAT', 25, 1),
-         (5, 3, 'UNSAT', 758, 380)],
+        [(1, 7, 'SAT', 0, 0), (2, 6, 'SAT', 6, 0), (3, 5, 'SAT', 22, 4), (4, 4, 'SAT', 25, 3),
+         (5, 3, 'SAT', 144, 66), (6, 2, 'UNSAT', 106, 54)],
+        [(1, 7, 'SAT', 0, 0), (2, 6, 'SAT', 6, 0), (3, 5, 'SAT', 21, 4), (4, 4, 'SAT', 21, 2),
+         (5, 3, 'UNSAT', 260, 131)],
     ),
 ]
 
@@ -202,9 +205,9 @@ PINNED_STEPS = [
         7,
         [(0, 1), (0, 5), (0, 6), (1, 6), (2, 4), (2, 5), (3, 4), (3, 6), (4, 5), (4, 6),
          (5, 6)],
-        5, 3, 'UNSAT', 580, 291,
+        5, 3, 'UNSAT', 196, 99,
     ),
-    (9, [(0, 8), (1, 6), (2, 4), (2, 6), (2, 7), (3, 4), (5, 7)], 8, 2, 'UNSAT', 964, 483),
+    (9, [(0, 8), (1, 6), (2, 4), (2, 6), (2, 7), (3, 4), (5, 7)], 8, 2, 'UNSAT', 608, 305),
 ]
 
 
@@ -216,7 +219,7 @@ def test_searched_path_steps_are_pinned(index):
 
 
 # Draw 72 (0-based) of G(9, 0.7) from random.Random(907): its tree gap
-# step (4, 6) took 65,542 decisions on the bare model
+# step (4, 6) takes 39,286 decisions on the bare model
 TREE_GAP_EDGES = [
     (0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (0, 6), (1, 2), (1, 3), (1, 5), (1, 7), (1, 8),
     (2, 4), (2, 5), (2, 6), (2, 7), (2, 8), (3, 4), (3, 5), (3, 6), (3, 7), (4, 5), (4, 7),
@@ -229,7 +232,7 @@ def test_searched_tree_step_is_pinned():
     lb, _, upper = bounds(g, Variant.TREE)
     assert lb < 6 < upper[0]  # the schedule searches the step
     step = decide(g, 4, 6, smooth=True)
-    assert [step.status.value, step.report.decisions, step.report.fails] == ['UNSAT', 8652, 4327]
+    assert [step.status.value, step.report.decisions, step.report.fails] == ['UNSAT', 2510, 1256]
 
 
 # sha256 of write_td(witness, g) per PINNED graph: (treewidth, pathwidth)
