@@ -16,11 +16,10 @@ order: min-degree elimination for trees, a smallest-boundary placement
 for paths. For every w >= ub the order gives a decomposition with
 exactly n + 1 - w nodes of at most w vertices (merge the bags of the
 last w eliminated, or the first w placed, vertices into one). Such a
-step is SAT without search: the model has the node sets and parents of
-that decomposition fixed as the order lists them, and the search,
-allowed no decision, confirms it by propagation alone; the witness
-still comes out of the model, equal to that decomposition, and passes
-the validator.
+step is SAT without search: the validator checks that decomposition,
+then a model built around it, with its node sets and parents fixed as
+the order lists them, confirms it by its root propagation alone. The
+validated decomposition is the witness; nothing is read back.
 
 While ub - lb >= 2 leaves steps to search, ``bounds`` tries stronger
 ones and keeps each only if it is strictly better: the least-c
@@ -39,9 +38,7 @@ lacks. Since m + w = n + 1 at every step, g has a decomposition with m
 nodes of at most w vertices iff it has a smooth one (Bodlaender 1996),
 so the step's status does not change, and the smooth constraints cut
 the search. A confirmed step stays on the bare model, because the
-order's decomposition may have nodes of fewer than w vertices, and
-without the lex cut, which would only force its nodes into another
-order.
+order's decomposition may have nodes of fewer than w vertices.
 """
 
 from __future__ import annotations
@@ -51,7 +48,7 @@ import time
 
 from .engine import SolveReport, Status, bits_of
 from .graphs import Graph, TreeDecomposition
-from .model import Variant, build_model, encode_decomposition, extract_decomposition
+from .model import Variant, build_model, extract_decomposition
 from .validator import check_minor_bound, validate
 
 
@@ -90,8 +87,9 @@ class ScheduleStep:
     minor of the graph with minimum degree at least w, which
     ``validator.check_minor_bound`` accepted; its report counts no
     decisions, propagations or fails. A ``confirmed`` step is SAT by
-    the greedy order's decomposition, which the model accepted by
-    propagation alone; its report counts no decisions or fails.
+    the greedy order's decomposition, its witness, which the validator
+    accepted and a model built around it confirmed by its root
+    propagation; its report counts no decisions or fails.
     """
 
     __slots__ = ("m", "w", "status", "report", "witness", "bound", "confirmed")
@@ -180,46 +178,48 @@ def decide(
 
     Without ``confirm`` the instance is searched under the decision and
     time limits, which ``check_limits`` checks first. With it, a
-    decomposition with m nodes of at most w vertices (in path order for
-    PATH), the model confirms that decomposition instead: built without
-    the lex cut, which every search has, it has the node sets and
-    parents fixed as given by ``encode_decomposition``, and the search,
-    allowed no decision, must find the rest by propagation. The step is
-    SAT with no decision or fail, its witness equals ``confirm``, and
-    the limits do not apply.
-    A decomposition the model rejects raises RuntimeError; one whose
-    node count or vertices do not fit the instance, or whose parent
-    pointers do not form a tree (for PATH, do not hang each node i >= 1
-    from node i - 1), raises ValueError. ``smooth`` asks for
-    a smooth decomposition, which keeps the status only when
-    m + w = n + 1.
+    decomposition to confirm, the validator checks it first: m nodes of
+    at most w vertices, and for PATH a path hanging each node i >= 1
+    from node i - 1. Any violation raises ValueError, which names it;
+    so does ``smooth``, since a confirmation runs on the bare model.
+    Then ``build_model(around=confirm)`` confirms it by its root
+    propagation, a rejection there being a disagreement between model
+    and validator (RuntimeError). The step is SAT with no decision or
+    fail, its witness is ``confirm`` itself, and the limits do not
+    apply. ``smooth`` asks for a smooth decomposition, which keeps the
+    status only when m + w = n + 1.
     """
     check_limits(decision_limit, timeout)
-    # a confirmation makes no decision, so the lex cut has nothing to prune
-    mi = build_model(g, m, w, variant=variant, symmetry_breaking=confirm is None, smooth=smooth)
+    path = variant is Variant.PATH
+    if confirm is not None:
+        if smooth:
+            raise ValueError("a confirmation runs on the bare model, not a smooth one")
+        problems = validate(g, confirm, expect_m=m, expect_w=w, expect_path=path)
+        if path and tuple(confirm.parent) != (0, *range(m - 1)):
+            problems.append("a path to confirm must hang node i from node i - 1")
+        if problems:
+            detail = "; ".join(map(str, problems))
+            raise ValueError(
+                f"step (m={m}, w={w}) cannot confirm an invalid decomposition: {detail}"
+            )
+        decision_limit, timeout = 0, None
+    mi = build_model(g, m, w, variant=variant, smooth=smooth, around=confirm)
     try:
-        if confirm is not None:
-            encode_decomposition(mi, confirm)
-            decision_limit, timeout = 0, None
         report = mi.solver.solve(
             decision_vars=mi.decision_vars, decision_limit=decision_limit, timeout=timeout
         )
+        witness = confirm
         if confirm is not None and report.status is not Status.SAT:
             raise RuntimeError(
-                f"step (m={m}, w={w}): the model rejects the decomposition to confirm"
+                f"step (m={m}, w={w}): the model rejects a decomposition the validator accepts"
             )
-        witness = None
-        if report.status is Status.SAT:
-            td = extract_decomposition(mi)
-            violations = validate(
-                g, td, expect_m=m, expect_w=w, expect_path=variant is Variant.PATH
-            )
+        if confirm is None and report.status is Status.SAT:
+            witness = extract_decomposition(mi)
+            violations = validate(g, witness, expect_m=m, expect_w=w, expect_path=path)
             if violations:
                 raise RuntimeError(
-                    "solver returned an invalid decomposition: "
-                    + "; ".join(str(v) for v in violations)
+                    "solver returned an invalid decomposition: " + "; ".join(map(str, violations))
                 )
-            witness = td
     finally:
         mi.solver.unlink()
     return ScheduleStep(m, w, report.status, report, witness, confirmed=confirm is not None)
@@ -530,16 +530,21 @@ def _run_schedule(
             if deadline is not None:
                 # what is left of it; past it, a step ends after its root propagation
                 timeout = max(0.0, deadline - time.perf_counter())
-            step = decide(
-                g,
-                m,
-                w,
-                variant=variant,
-                decision_limit=decision_limit,
-                timeout=timeout,
-                confirm=confirm,
-                smooth=confirm is None,
-            )
+            try:
+                step = decide(
+                    g,
+                    m,
+                    w,
+                    variant=variant,
+                    decision_limit=decision_limit,
+                    timeout=timeout,
+                    confirm=confirm,
+                    smooth=confirm is None,
+                )
+            except ValueError as exc:
+                if confirm is None:
+                    raise
+                raise RuntimeError(f"greedy order: {exc}") from None
             trace.append(step)
             if step.status is Status.UNSAT:
                 break

@@ -18,9 +18,9 @@ vertex's nodes contiguous. Either way the model grows linearly in m.
 Symmetry breaking orders node sets lexicographically on their
 membership vectors, vertex 0 first: every consecutive pair for
 free-form trees, first against last for path-shaped instances (whose
-only node symmetry is reversal). A model that confirms a given
-decomposition (``encode_decomposition``) goes without it: it makes no
-decision for the cut to prune.
+only node symmetry is reversal). A model built ``around`` a given
+decomposition has its node sets and parents fixed from the start and
+goes without the cut: the search makes no decision for it to prune.
 """
 
 from __future__ import annotations
@@ -83,6 +83,7 @@ def build_model(
     variant: Variant = Variant.TREE,
     symmetry_breaking: bool = True,
     smooth: bool = False,
+    around: TreeDecomposition | None = None,
 ) -> ModelInstance:
     """Create all variables and post all constraints for one instance.
 
@@ -92,6 +93,15 @@ def build_model(
     vertices, each child with exactly one vertex its parent lacks.
     Decision variables are the parent variables followed by the edge
     sets, whose elements the search takes edge by edge, nodes ascending.
+
+    ``around``, a decomposition with m nodes over vertices of g and
+    parents in 0..m-1 (in path order for PATH, whose parents are the
+    chain either way), asks whether it is one: node set i is fixed to
+    its node i before any propagator is posted, and on a tree parent i
+    is created fixed to its parent i. No lex cut is posted, so the
+    nodes keep their order. The root propagation derives the depths
+    and edge sets, and fails iff it is no decomposition of the
+    instance.
     """
     if m < 1:
         raise ValueError(f"node count must be positive, got {m}")
@@ -102,13 +112,20 @@ def build_model(
 
     solver = Solver()
     node_sets = [solver.set_var(g.n, f"node{i}") for i in range(m)]
+    fixed = None
+    if around is not None:
+        for x, bag in zip(node_sets, around.nodes):
+            x.required = x.possible = sum(1 << v for v in bag)
+        fixed = around.parent
+    if variant is Variant.PATH:
+        fixed = range(-1, m - 1)  # node i hangs from node i - 1
     parents = [solver.int_var(0, 0, "parent0")]
     for i in range(1, m):
-        if variant is Variant.PATH:
-            parents.append(solver.int_var(i - 1, i - 1, f"parent{i}"))
-        else:
+        if fixed is None:
             parents.append(solver.int_var(0, m - 1, f"parent{i}"))
             parents[i].remove(i)
+        else:
+            parents.append(solver.int_var(fixed[i], fixed[i], f"parent{i}"))
     depths = []
     if variant is Variant.TREE:
         depths = [solver.int_var(0, 0, "depth0")]
@@ -129,7 +146,7 @@ def build_model(
     else:
         solver.post(props.RunningIntersection(depths, parents, node_sets, smooth))
 
-    if symmetry_breaking and m > 1:
+    if symmetry_breaking and around is None and m > 1:
         if variant is Variant.TREE:
             for i in range(m - 1):
                 solver.post(props.LexLeq(node_sets[i], node_sets[i + 1]))
@@ -160,32 +177,3 @@ def extract_decomposition(mi: ModelInstance) -> TreeDecomposition:
     parent = tuple(p.value() for p in mi.parents)
     return TreeDecomposition(nodes=nodes, parent=parent)
 
-
-def encode_decomposition(mi: ModelInstance, td: TreeDecomposition) -> None:
-    """Fix the node sets and parents of the fresh model mi to td, as
-    given: the inverse of extract_decomposition once propagation has
-    derived the rest (depths by ``RunningIntersection``, edge sets by
-    ``EdgeInNode``). td's nodes keep their order, so mi is expected
-    without the lex cut, as ``decide(confirm=...)`` builds it.
-
-    Raises ValueError, before anything is fixed, unless td has exactly
-    mi.m nodes, every node holds only vertices of mi.g and its parent
-    pointers form a tree rooted at node 0; for a path, the chain that
-    hangs each node i >= 1 from node i - 1.
-    """
-    m, n = mi.m, mi.g.n
-    if td.m != m:
-        raise ValueError(f"a decomposition to encode for {m} nodes has {td.m}")
-    if not all(0 <= v < n for bag in td.nodes for v in bag):
-        raise ValueError(f"a node of the decomposition holds a vertex outside 0..{n - 1}")
-    if mi.variant is Variant.PATH:
-        if tuple(td.parent) != (0, *range(m - 1)):
-            raise ValueError("a path decomposition to encode must hang node i from node i - 1")
-    else:
-        TreeDecomposition.from_parents(td.nodes, td.parent)  # ValueError unless a tree
-    for var, p in zip(mi.parents, td.parent):
-        var.assign(p)
-    for x, bag in zip(mi.node_sets, td.nodes):
-        mask = sum(1 << v for v in bag)
-        x.require_mask(mask)
-        x.restrict(mask)

@@ -357,7 +357,17 @@ def test_rejected_certificate_is_error(p3, monkeypatch, capsys):
 def test_invalid_witness_is_error(p3, monkeypatch, capsys):
     rejected = [Violation(ViolationKind.EDGE, "edge (0, 1) is inside no node")]
     monkeypatch.setattr(driver, "validate", lambda *args, **kwargs: rejected)
+    # the schedule's first step is an order step: the greedy order's
+    # decomposition is rejected before any model is built
     assert main(["treewidth", p3]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: greedy order: step (m=1, w=3) cannot confirm an invalid decomposition:"
+        " EDGE: edge (0, 1) is inside no node\n"
+    )
+    # `decide` searches, and the witness it reads back is rejected
+    assert main(["decide", p3, "--m", "1", "--w", "3"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: solver returned an invalid decomposition")

@@ -226,39 +226,88 @@ def test_interrupt_carries_the_bounds_once_known(monkeypatch):
     assert (err.value.trace, err.value.lb, err.value.ub) == ([], None, None)
 
 
-def test_confirm_rejects_a_broken_decomposition():
+def test_confirm_rejects_a_broken_decomposition(monkeypatch):
     g = path_graph(4)
-    # right sizes, but vertex 1 skips the middle node
+    # right sizes, but vertex 1 skips the middle node: the validator
+    # names it before any model is built
     broken = TreeDecomposition.from_parents([{0, 1}, {2, 3}, {1, 2}], [0, 0, 1])
-    assert validate(g, broken, expect_m=3, expect_w=2) != []
     for variant in Variant:
-        with pytest.raises(RuntimeError, match=r"step \(m=3, w=2\)"):
+        with pytest.raises(ValueError, match=r"\(m=3, w=2\) cannot confirm .*: CONNECTEDNESS"):
             decide(g, 3, 2, variant=variant, confirm=broken)
     sound = TreeDecomposition.from_parents([{0, 1}, {1, 2}, {2, 3}], [0, 0, 1])
     step = decide(g, 3, 2, confirm=sound, decision_limit=0)
     report = step.report
     assert (step.status, step.confirmed, report.decisions, report.fails) == (Status.SAT, True, 0, 0)
     assert report.propagations > 0
+    # a confirmation runs on the bare model, so it refuses smooth, even
+    # for a valid decomposition whose nodes are not all of w vertices
+    wide = TreeDecomposition.from_parents([{0, 1, 2}, {1, 2, 3}, {2, 3}], [0, 0, 1])
+    assert validate(g, wide, expect_m=3, expect_w=3) == []
+    with pytest.raises(ValueError, match="bare model"):
+        decide(g, 3, 3, confirm=wide, smooth=True)
+    # past a validator that accepts anything, the model's rejection is a
+    # disagreement between the two, an internal error
+    monkeypatch.setattr(driver, "validate", lambda *args, **kwargs: [])
+    for variant in Variant:
+        with pytest.raises(RuntimeError, match=r"step \(m=3, w=2\): the model rejects"):
+            decide(g, 3, 2, variant=variant, confirm=broken)
 
 
-def test_a_confirmed_step_writes_the_orders_decomposition():
-    # node for node, as smooth_decomposition lists it: the model keeps
-    # the order of the decomposition it confirms
+def test_an_order_decomposition_the_validator_rejects_is_an_internal_error(monkeypatch):
+    def rejected_order(*args):
+        td = smooth_decomposition(*args)
+        # a vertex dropped from the last node leaves an edge or a vertex uncovered
+        return TreeDecomposition(td.nodes[:-1] + (td.nodes[-1] - {max(td.nodes[-1])},), td.parent)
+
+    monkeypatch.setattr(driver, "smooth_decomposition", rejected_order)
+    for schedule in (treewidth, pathwidth):
+        with pytest.raises(RuntimeError, match=r"greedy order: step \(m=1, w=4\)"):
+            schedule(cycle_graph(4))
+
+
+def test_a_confirmed_step_writes_the_orders_decomposition(monkeypatch):
+    # node for node, as smooth_decomposition lists it. Each order step
+    # validates that decomposition once and builds one model around it,
+    # and reads nothing back: the validated decomposition is the witness
+    calls = {}
+    per_step = []
+
+    def counted(name, original):
+        def call(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(driver, name, call)
+
+    for name in ("validate", "build_model", "extract_decomposition"):
+        counted(name, getattr(driver, name))
+
+    def one_step(*args, **kwargs):
+        calls.clear()
+        step = decide(*args, **kwargs)
+        per_step.append(dict(calls))
+        return step
+
+    monkeypatch.setattr(driver, "decide", one_step)
     rng = random.Random(73)
     confirmed = 0
     for _ in range(30):
         g = random_graph(rng.randint(1, 7), 0.5, rng)
         for variant, schedule in ((Variant.TREE, treewidth), (Variant.PATH, pathwidth)):
             _, _, (ub, order, bags) = bounds(g, variant)
-            for step in schedule(g).trace:
+            per_step.clear()
+            trace = schedule(g).trace
+            assert len(per_step) == sum(step.bound is None for step in trace)
+            for step, counts in zip(trace, per_step):  # a bound step comes last
                 assert step.confirmed is (step.w >= ub)
                 if step.confirmed:
+                    assert counts == {"validate": 1, "build_model": 1}
                     assert step.witness == smooth_decomposition(variant, order, bags, step.w)
                     confirmed += 1
     assert confirmed > 100
 
 
-def test_a_decided_step_leaves_no_cyclic_garbage():
+def test_a_decided_step_leaves_no_cyclic_garbage(monkeypatch):
     # each model is a reference cycle until its step unlinks it; with
     # the collector off, whatever gc.collect() then finds was left behind
     tree17 = draw_graph(9, 907, 0.7, 17)  # searches its tree step (4, 6)
@@ -274,7 +323,10 @@ def test_a_decided_step_leaves_no_cyclic_garbage():
         with pytest.raises(SearchLimitExceeded):
             treewidth(tree17, decision_limit=10)
         assert gc.collect() == 0
-        with pytest.raises(RuntimeError):
+        # past a validator that accepts it, the model rejects the
+        # decomposition and raises, and the model is freed all the same
+        monkeypatch.setattr(driver, "validate", lambda *args, **kwargs: [])
+        with pytest.raises(RuntimeError, match="the model rejects"):
             decide(path_graph(4), 3, 2, confirm=broken)
         assert gc.collect() == 0
     finally:

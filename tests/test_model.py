@@ -21,7 +21,7 @@ from helpers import (
 from tdsolve.driver import _schedule_pairs, decide, smooth_decomposition, upper_bound
 from tdsolve.engine import Status
 from tdsolve.graphs import TreeDecomposition
-from tdsolve.model import Variant, build_model, encode_decomposition, extract_decomposition
+from tdsolve.model import Variant, build_model, extract_decomposition
 from tdsolve.propagators import LexLeq, PathIntersection, RunningIntersection
 from tdsolve.validator import validate
 
@@ -261,29 +261,65 @@ def test_lex_toggle_preserves_outcomes_sampled_n5():
             assert with_lex.status == without.status, (g.edges, m, w)
 
 
+def _order_decompositions(seed):
+    """Every step with w >= ub of 30 seeded random graphs, as
+    ``(g, variant, m, w, the order's decomposition)``."""
+    rng = random.Random(seed)
+    for _ in range(30):
+        g = random_graph(rng.randint(2, 7), 0.5, rng)
+        for variant in Variant:
+            ub, order, bags = upper_bound(g, variant)
+            for w in range(ub, g.n + 1):
+                yield g, variant, g.n + 1 - w, w, smooth_decomposition(variant, order, bags, w)
+
+
 def test_encoding_inverts_extraction_and_dives_without_a_fail():
     # every step with w >= ub: with the node sets and parents of the
     # order's decomposition fixed, propagation fixes every other
     # variable, so the search confirms it without a decision or a fail
     # and reads back the decomposition it was given
-    rng = random.Random(61)
-    graphs = [random_graph(rng.randint(2, 7), 0.5, rng) for _ in range(30)]
     checked = 0
-    for g in graphs:
-        for variant in Variant:
-            ub, order, bags = upper_bound(g, variant)
-            for w in range(ub, g.n + 1):
-                m = g.n + 1 - w
-                mi = build_model(g, m, w, variant=variant, symmetry_breaking=False)
-                given = smooth_decomposition(variant, order, bags, w)
-                encode_decomposition(mi, given)
-                report = mi.solver.solve(decision_vars=mi.decision_vars, decision_limit=0)
-                assert report.status is Status.SAT, (g.edges, variant, w)
-                assert (report.decisions, report.fails) == (0, 0)
-                assert mi.solver.check_witness(solved_assignment(mi.solver)), (g.edges, variant, w)
-                assert extract_decomposition(mi) == given, (g.edges, variant, w)
-                checked += 1
+    for g, variant, m, w, given in _order_decompositions(61):
+        mi = build_model(g, m, w, variant=variant, around=given)
+        report = mi.solver.solve(decision_vars=mi.decision_vars, decision_limit=0)
+        assert report.status is Status.SAT, (g.edges, variant, w)
+        assert (report.decisions, report.fails) == (0, 0)
+        assert mi.solver.check_witness(solved_assignment(mi.solver)), (g.edges, variant, w)
+        assert extract_decomposition(mi) == given, (g.edges, variant, w)
+        checked += 1
     assert checked > 100
+
+
+def _mutants(variant, td):
+    """Each decomposition one change away from td: a node without one
+    of its vertices and, on a tree, a non-root node hung from a node
+    other than its parent (possibly its own descendant)."""
+    nodes, parent = list(td.nodes), list(td.parent)
+    for i, bag in enumerate(nodes):
+        for v in sorted(bag):
+            yield TreeDecomposition(tuple(nodes[:i] + [bag - {v}] + nodes[i + 1 :]), td.parent)
+    if variant is Variant.TREE:
+        for i in range(1, td.m):
+            for p in range(td.m):
+                if p not in (i, parent[i]):
+                    yield TreeDecomposition(td.nodes, tuple(parent[:i] + [p] + parent[i + 1 :]))
+
+
+def test_a_model_built_around_what_the_validator_rejects_fails_at_the_root():
+    # decide never shows the model an invalid decomposition any more, so
+    # the model's own rejection is checked here: every mutant of an
+    # order's decomposition that the validator rejects empties a domain
+    # in the root propagation, before any decision
+    rejected = 0
+    for g, variant, m, w, given in _order_decompositions(67):
+        for td in _mutants(variant, given):
+            if not validate(g, td, expect_m=m, expect_w=w, expect_path=variant is Variant.PATH):
+                continue
+            mi = build_model(g, m, w, variant=variant, around=td)
+            report = mi.solver.solve(decision_vars=mi.decision_vars, decision_limit=0)
+            assert (report.status, report.decisions) == (Status.UNSAT, 0), (g.edges, variant, td)
+            rejected += 1
+    assert rejected > 1000
 
 
 def test_encoding_keeps_the_nodes_as_given():
@@ -291,8 +327,8 @@ def test_encoding_keeps_the_nodes_as_given():
     # a chain rooted at its lex-largest node, listed out of lex order
     # (LexLeq would put {2, 3} first: membership vectors, vertex 0 first)
     given = TreeDecomposition.from_parents([{0, 1}, {1, 2}, {2, 3}], [0, 0, 1])
-    mi = build_model(g, 3, 2, symmetry_breaking=False)
-    encode_decomposition(mi, given)
+    mi = build_model(g, 3, 2, around=given)
+    assert lex_count(mi) == 0
     assert [(x.required, x.possible) for x in mi.node_sets] == [
         (0b0011, 0b0011),
         (0b0110, 0b0110),
@@ -302,45 +338,45 @@ def test_encoding_keeps_the_nodes_as_given():
     assert mi.solver.solve(decision_vars=mi.decision_vars, decision_limit=0).status is Status.SAT
     assert [d.value() for d in mi.depths] == [0, 1, 2]  # derived by propagation
     # on a path too, the first node stays first, although it is lex-larger than the last
-    mi = build_model(g, 3, 2, variant=Variant.PATH, symmetry_breaking=False)
-    encode_decomposition(mi, given)
+    mi = build_model(g, 3, 2, variant=Variant.PATH, around=given)
+    assert lex_count(mi) == 0
     report = mi.solver.solve(decision_vars=mi.decision_vars, decision_limit=0)
     assert report.status is Status.SAT
     assert extract_decomposition(mi) == given
     assert mi.solver.check_witness(solved_assignment(mi.solver))
-    with pytest.raises(ValueError):
-        encode_decomposition(build_model(g, 2, 3), given)
 
 
 def test_confirm_refuses_what_is_no_decomposition_of_the_instance():
+    # the validator checks the decomposition before any model is built,
+    # and a violation is the caller's error, named in the message
     g = path_graph(4)
     sound = [{0, 1}, {1, 2}, {2, 3}]
     assert decide(g, 3, 2, confirm=TreeDecomposition.from_parents(sound, [0, 0, 1])).witness
     for variant in Variant:
-        for bags, error in [
-            ([{0, 1}, {1, 2}, {2, 3, 4}], ValueError),  # vertex 4 is not in P4
-            ([{0, 1}, {1, 2}, {-1, 3}], ValueError),
-            ([{0, 1}, {1, 2, 3}, {2, 3}], RuntimeError),  # three vertices, w = 2
-            ([{0, 1}, {1, 2, 3}], ValueError),  # two nodes for m = 3
+        for bags, kind in [
+            ([{0, 1}, {1, 2}, {2, 3, 4}], "COVERAGE"),  # vertex 4 is not in P4
+            ([{0, 1}, {1, 2}, {-1, 3}], "COVERAGE"),
+            ([{0, 1}, {1, 2, 3}, {2, 3}], "WIDTH"),  # three vertices, w = 2
+            ([{0, 1}, {1, 2, 3}], "NODE_COUNT"),  # two nodes for m = 3
         ]:
             td = TreeDecomposition(tuple(map(frozenset, bags)), (0, 0, 1)[: len(bags)])
-            with pytest.raises(error):
+            with pytest.raises(ValueError, match=rf"\(m=3, w=2\) cannot confirm .*{kind}"):
                 decide(g, 3, 2, variant=variant, confirm=td)
 
 
 def test_a_path_confirmation_must_be_in_path_order():
     g = path_graph(4)
     bags = [{0, 1}, {1, 2}, {2, 3}]
-    # the right node sets under a star: the tree model rejects them, and
+    # the right node sets under a star: the validator rejects them, and
     # on a path they must hang node i from node i - 1 as given
     star = TreeDecomposition.from_parents(bags, [0, 0, 0])
-    with pytest.raises(RuntimeError):
+    with pytest.raises(ValueError, match="CONNECTEDNESS"):
         decide(g, 3, 2, confirm=star)
     # a star valid for a tree, but in no path order
     centred = TreeDecomposition.from_parents([bags[1], bags[0], bags[2]], [0, 0, 0])
     assert decide(g, 3, 2, confirm=centred).witness == centred
     for td in (star, centred):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="must hang node i from node i - 1"):
             decide(g, 3, 2, variant=Variant.PATH, confirm=td)
     chain = TreeDecomposition.from_parents(bags, [0, 0, 1])
     assert decide(g, 3, 2, variant=Variant.PATH, confirm=chain).witness == chain
