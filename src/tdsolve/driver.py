@@ -89,16 +89,16 @@ class ScheduleStep:
     decisions, propagations or fails. A ``confirmed`` step is SAT by
     the greedy order's decomposition, its witness, which the validator
     accepted and a model built around it confirmed by its root
-    propagation; its report counts no decisions or fails.
+    propagation; its report counts no decisions or fails. ``status``
+    reads ``report.status``.
     """
 
-    __slots__ = ("m", "w", "status", "report", "witness", "bound", "confirmed")
+    __slots__ = ("m", "w", "report", "witness", "bound", "confirmed")
 
     def __init__(
         self,
         m: int,
         w: int,
-        status: Status,
         report: SolveReport,
         witness: TreeDecomposition | None,
         bound: tuple[frozenset[int], ...] | None = None,
@@ -106,11 +106,14 @@ class ScheduleStep:
     ) -> None:
         self.m = m
         self.w = w
-        self.status = status
         self.report = report
         self.witness = witness
         self.bound = bound
         self.confirmed = confirmed
+
+    @property
+    def status(self) -> Status:
+        return self.report.status
 
 
 class WidthResult:
@@ -222,7 +225,7 @@ def decide(
                 )
     finally:
         mi.solver.unlink()
-    return ScheduleStep(m, w, report.status, report, witness, confirmed=confirm is not None)
+    return ScheduleStep(m, w, report, witness, confirmed=confirm is not None)
 
 
 class _Buckets:
@@ -522,7 +525,7 @@ def _run_schedule(
         for m, w in _schedule_pairs(g.n):
             if w <= lb:
                 report = SolveReport(Status.UNSAT, 0, 0, 0, bound_s)
-                trace.append(ScheduleStep(m, w, Status.UNSAT, report, None, bound=minor))
+                trace.append(ScheduleStep(m, w, report, None, bound=minor))
                 break
             confirm = None
             if ub is not None and w >= ub and not _out_of_time(deadline):

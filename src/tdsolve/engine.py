@@ -282,15 +282,11 @@ class Solver:
         return var
 
     def post(self, prop: Propagator) -> None:
+        """Add prop and queue it, like any woken propagator."""
         self.propagators.append(prop)
-        self._schedule(prop)
+        self._wake([prop])
 
     # Propagation machinery.
-
-    def _schedule(self, prop: Propagator) -> None:
-        if not prop.queued:
-            prop.queued = True
-            self._queue.append(prop)
 
     def _wake(self, watchers: list[Propagator]) -> None:
         for prop in watchers:

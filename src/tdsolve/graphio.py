@@ -131,17 +131,20 @@ def parse_edge_list(text: str) -> Graph:
     return Graph.from_edges(n, edges)
 
 
+def _refuse_invalid(g: Graph, td: TreeDecomposition, verb: str) -> None:
+    violations = validate(g, td)
+    if violations:
+        detail = "; ".join(map(str, violations))
+        raise ValueError(f"refusing to {verb} an invalid decomposition: {detail}")
+
+
 def write_td(td: TreeDecomposition, g: Graph) -> str:
     """Serialize a valid decomposition of g to ``.td`` text.
 
     Output is deterministic: node vertices ascending, one tree-edge line
     per non-root node in node order. Refuses invalid decompositions.
     """
-    violations = validate(g, td)
-    if violations:
-        raise ValueError(
-            "refusing to serialize an invalid decomposition: " + "; ".join(map(str, violations))
-        )
+    _refuse_invalid(g, td, "serialize")
     lines = [f"s td {td.m} {td.width} {g.n}"]
     for i, bag in enumerate(td.nodes):
         fields = [f"b {i + 1}"] + [str(v + 1) for v in sorted(bag)]
@@ -218,11 +221,7 @@ def export_dot(g: Graph, td: TreeDecomposition | None = None) -> str:
     arc from each non-root node to its parent.
     """
     if td is not None:
-        violations = validate(g, td)
-        if violations:
-            raise ValueError(
-                "refusing to draw an invalid decomposition: " + "; ".join(map(str, violations))
-            )
+        _refuse_invalid(g, td, "draw")
     lines = ["digraph decomposition {"]
     lines.append("  subgraph cluster_graph {")
     lines.append('    label="graph";')

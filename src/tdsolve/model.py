@@ -38,25 +38,13 @@ class Variant(Enum):
 
 
 class ModelInstance:
-    __slots__ = (
-        "g",
-        "m",
-        "w",
-        "variant",
-        "solver",
-        "node_sets",
-        "parents",
-        "depths",
-        "edge_sets",
-        "decision_vars",
-    )
+    """One built instance: its solver and the variables that the search
+    and ``extract_decomposition`` read."""
+
+    __slots__ = ("solver", "node_sets", "parents", "depths", "edge_sets", "decision_vars")
 
     def __init__(
         self,
-        g: Graph,
-        m: int,
-        w: int,
-        variant: Variant,
         solver: Solver,
         node_sets: list[SetVar],
         parents: list[IntVar],
@@ -64,10 +52,6 @@ class ModelInstance:
         edge_sets: list[SetVar],  # per node, over the indices of g.edges
         decision_vars: list[IntVar | SetVar],
     ) -> None:
-        self.g = g
-        self.m = m
-        self.w = w
-        self.variant = variant
         self.solver = solver
         self.node_sets = node_sets
         self.parents = parents
@@ -157,10 +141,6 @@ def build_model(
             solver.post(props.LexLeq(node_sets[0], node_sets[m - 1]))
 
     return ModelInstance(
-        g=g,
-        m=m,
-        w=w,
-        variant=variant,
         solver=solver,
         node_sets=node_sets,
         parents=parents,

@@ -413,7 +413,7 @@ def test_criterion_9_engine_property_suite():
                 assert assignment_within_bounds(s, sol), "supported value removed"
             before = snapshot(s)
             for prop in s.propagators:
-                s._schedule(prop)
+                s._wake([prop])
             assert s.propagate() and snapshot(s) == before, "fixpoint not idempotent"
         instances += 1
 

@@ -20,6 +20,7 @@ from helpers import (
     path_graph,
     random_graph,
 )
+from test_cli import GAP_GR
 from tdsolve import driver
 from tdsolve.driver import (
     ScheduleInterrupted,
@@ -32,6 +33,7 @@ from tdsolve.driver import (
     treewidth,
 )
 from tdsolve.engine import IntVar, SetVar, Solver, Status
+from tdsolve.graphio import parse_gr
 from tdsolve.graphs import Graph, TreeDecomposition
 from tdsolve.model import Variant, build_model
 from tdsolve.oracle import brute_pathwidth, brute_treewidth
@@ -112,10 +114,20 @@ def test_schedule_records_hold_their_fields_in_slots():
     g = path_graph(3)
     result = treewidth(g)
     report = result.trace[0].report
-    step = ScheduleStep(1, 3, Status.SAT, report, result.witness)
-    assert (step.bound, step.confirmed) == (None, False)
+    step = ScheduleStep(1, 3, report, result.witness)
+    assert (step.status, step.bound, step.confirmed) == (Status.SAT, None, False)
     for record in (result, step, report, build_model(g, 2, 2)):
         assert not hasattr(record, "__dict__")
+    # a step's status is its report's, on order, bound and searched steps
+    gap = parse_gr(GAP_GR)
+    steps = treewidth(gap).trace + pathwidth(gap).trace
+    assert {(s.confirmed, s.bound is not None) for s in steps} == {
+        (True, False),
+        (False, True),
+        (False, False),
+    }
+    for step in steps:
+        assert step.status is step.report.status
 
 
 def test_pathwidth_examples():

@@ -204,7 +204,7 @@ def test_fixpoint_idempotent():
     assert s.propagate()
     before = snapshot(s)
     for prop in s.propagators:
-        s._schedule(prop)
+        s._wake([prop])
     assert s.propagate()
     assert snapshot(s) == before
 
@@ -267,7 +267,7 @@ def test_a_failed_propagation_clears_every_queued_mark():
         s.post(prop)
     assert not s.propagate()
     assert not s._queue and not any(prop.queued for prop in props)
-    s._schedule(props[0])
+    s._wake([props[0]])
     assert props[0].queued and not s.propagate()
 
 

@@ -207,7 +207,7 @@ def _assert_at_fixpoint(solver):
     """Rescheduling every propagator must change no domain."""
     before = snapshot(solver)
     for prop in solver.propagators:
-        solver._schedule(prop)
+        solver._wake([prop])
     assert solver.propagate()
     assert snapshot(solver) == before
 

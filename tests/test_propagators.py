@@ -614,7 +614,7 @@ def test_filtering_sound_against_enumeration(seed):
         # fixpoint: rerunning every propagator must change nothing
         before = snapshot(s)
         for prop in s.propagators:
-            s._schedule(prop)
+            s._wake([prop])
         assert s.propagate()
         assert snapshot(s) == before
 
