@@ -17,9 +17,10 @@ for paths. For every w >= ub the order gives a decomposition with
 exactly n + 1 - w nodes of at most w vertices (merge the bags of the
 last w eliminated, or the first w placed, vertices into one). Such a
 step is SAT without search: the validator checks that decomposition,
-then a model built around it, with its node sets and parents fixed as
-the order lists them, confirms it by its root propagation alone. The
-validated decomposition is the witness; nothing is read back.
+then a model built around it, with its node sets (and on a tree its
+parents) fixed as the order lists them, confirms it by its root
+propagation alone. The validated decomposition is the witness; nothing
+is read back.
 
 While ub - lb >= 2 leaves steps to search, ``bounds`` tries stronger
 ones and keeps each only if it is strictly better: the least-c

@@ -61,9 +61,6 @@ class IntVar:
             raise ValueError(f"{self!r} is not fixed")
         return self.mask.bit_length() - 1
 
-    def contains(self, v: int) -> bool:
-        return v >= 0 and (self.mask >> v) & 1 == 1
-
     def domain(self) -> list[int]:
         return bits_of(self.mask)
 
@@ -329,7 +326,7 @@ class Solver:
 
     def solve(
         self,
-        decision_vars: list[IntVar | SetVar] | None = None,
+        decision_vars: list[IntVar | SetVar],
         decision_limit: int | None = None,
         timeout: float | None = None,
     ) -> SolveReport:
@@ -346,13 +343,13 @@ class Solver:
         Intell. 14, 1980). Once the integers are fixed and every element
         is covered, it branches on set membership (include before
         exclude, lowest variable and element first) until every variable
-        is fixed.
+        is fixed. A decision calls the chosen alternative's operation on
+        its value.
         Returns SAT at the first full assignment and leaves every variable
         fixed to it, so the solved model is its own witness; UNSAT after
         exhausting the tree, or INDETERMINATE when a limit is hit. With a
         decision limit of 0 it only confirms what propagation alone fixes.
         """
-        dvars = list(self.int_vars) if decision_vars is None else list(decision_vars)
         self.decisions = 0
         self.propagations = 0
         self.fails = 0
@@ -374,7 +371,7 @@ class Solver:
         # A frame is [trail mark, alternatives, index of the next one to try].
         frames: list[list] = []
         while True:
-            alternatives = self._branch(dvars)
+            alternatives = self._branch(decision_vars)
             if alternatives is None:
                 return report(Status.SAT)
             if decision_limit is not None and self.decisions >= decision_limit:
@@ -387,7 +384,8 @@ class Solver:
             while frames and not descended:
                 mark, alts, idx = frames[-1]
                 self.decisions += 1
-                self._apply(alts[idx])
+                operation, value = alts[idx]
+                operation(value)
                 if self.propagate():
                     descended = True
                 else:
@@ -403,7 +401,9 @@ class Solver:
                 return report(Status.UNSAT)
 
     def _branch(self, dvars: list[IntVar | SetVar]):
-        """Alternatives at this node, or None when everything is fixed."""
+        """Alternatives at this node as (operation, value) pairs, each
+        operation a bound ``assign``, ``include`` or ``exclude`` of the
+        chosen variable, or None when everything is fixed."""
         chosen = None
         best_size = None
         open_elements = 0  # undecided in some decision set
@@ -442,27 +442,17 @@ class Solver:
             e = low.bit_length() - 1
             for var in dvars:
                 if type(var) is SetVar and var.possible & ~var.required & low:
-                    return [("out", var, e), ("in", var, e)]
+                    return [(var.exclude, e), (var.include, e)]
         if chosen is None:
             for svar in self.set_vars:
                 undecided = svar.undecided()
                 if undecided:
                     e = (undecided & -undecided).bit_length() - 1
-                    return [("in", svar, e), ("out", svar, e)]
+                    return [(svar.include, e), (svar.exclude, e)]
             chosen = next((var for var in self.int_vars if not var.is_fixed()), None)
             if chosen is None:
                 return None
-        return [("=", chosen, v) for v in chosen.domain()]
-
-    @staticmethod
-    def _apply(alt) -> None:
-        op, var, v = alt
-        if op == "=":
-            var.assign(v)
-        elif op == "in":
-            var.include(v)
-        else:
-            var.exclude(v)
+        return [(chosen.assign, v) for v in chosen.domain()]
 
     def check_witness(self, witness: dict) -> bool:
         """Audit an assignment against every posted constraint's semantics.

@@ -53,6 +53,19 @@ def _check_vertex_count(n: int, line_no: int) -> None:
         raise ParseError(line_no, f"vertex count {n} exceeds the limit of {MAX_VERTICES}")
 
 
+def _edge(fields: list[str], line: str, line_no: int, n: int, base: int) -> tuple[int, int]:
+    """The 0-based edge of a ``<u> <v>`` line whose n vertices are
+    numbered from base."""
+    if len(fields) != 2:
+        raise ParseError(line_no, f"expected '<u> <v>', got {line!r}")
+    u, v = _int_fields(fields, line_no)
+    if not (base <= u < base + n and base <= v < base + n):
+        raise ParseError(line_no, f"vertex index out of range {base}..{base + n - 1} in {line!r}")
+    if u == v:
+        raise ParseError(line_no, f"self-loop at vertex {u}")
+    return u - base, v - base
+
+
 def parse_gr(text: str) -> Graph:
     """Parse a ``.gr`` document into a Graph.
 
@@ -63,7 +76,6 @@ def parse_gr(text: str) -> Graph:
     n = None
     declared = 0
     header_line = 0
-    edge_lines = 0
     edges = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -83,20 +95,12 @@ def parse_gr(text: str) -> Graph:
             continue
         if n is None:
             raise ParseError(line_no, "edge line before 'p tw' header")
-        if len(fields) != 2:
-            raise ParseError(line_no, f"expected '<u> <v>', got {line!r}")
-        u, v = _int_fields(fields, line_no)
-        if not (1 <= u <= n and 1 <= v <= n):
-            raise ParseError(line_no, f"vertex index out of range 1..{n} in {line!r}")
-        if u == v:
-            raise ParseError(line_no, f"self-loop at vertex {u}")
-        edge_lines += 1
-        edges.append((u - 1, v - 1))
+        edges.append(_edge(fields, line, line_no, n, 1))
     if n is None:
         raise ParseError(1, "missing 'p tw' header")
-    if edge_lines != declared:
+    if len(edges) != declared:
         raise ParseError(
-            header_line, f"header declares {declared} edges but {edge_lines} edge lines follow"
+            header_line, f"header declares {declared} edges but {len(edges)} edge lines follow"
         )
     return Graph.from_edges(n, edges)
 
@@ -118,14 +122,7 @@ def parse_edge_list(text: str) -> Graph:
                 raise ParseError(line_no, "negative vertex count")
             _check_vertex_count(n, line_no)
             continue
-        if len(fields) != 2:
-            raise ParseError(line_no, f"expected '<u> <v>', got {line!r}")
-        u, v = _int_fields(fields, line_no)
-        if not (0 <= u < n and 0 <= v < n):
-            raise ParseError(line_no, f"vertex index out of range 0..{n - 1} in {line!r}")
-        if u == v:
-            raise ParseError(line_no, f"self-loop at vertex {u}")
-        edges.append((u, v))
+        edges.append(_edge(fields, line, line_no, n, 0))
     if n is None:
         raise ParseError(1, "empty input, expected vertex count")
     return Graph.from_edges(n, edges)

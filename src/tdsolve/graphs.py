@@ -48,8 +48,8 @@ class TreeDecomposition(namedtuple("TreeDecomposition", ("nodes", "parent"))):
 
     Node 0 is the root, ``parent[0] == 0``, and for a well-formed
     decomposition every other node's parent pointer leads to the root.
-    The constructor does not enforce this (the validator module checks
-    it); use :meth:`from_parents` to build a shape-checked instance.
+    The constructor does not enforce this: the validator module checks
+    it.
     """
 
     __slots__ = ()
@@ -65,39 +65,6 @@ class TreeDecomposition(namedtuple("TreeDecomposition", ("nodes", "parent"))):
     def width(self) -> int:
         """Cardinality of the largest node."""
         return max(len(b) for b in self.nodes)
-
-    @classmethod
-    def from_parents(
-        cls, nodes: Iterable[Iterable[int]], parent: Iterable[int]
-    ) -> "TreeDecomposition":
-        """Build from node contents and parent pointers.
-
-        Raises ValueError if the parent array is not a tree rooted at
-        node 0.
-        """
-        node_sets = tuple(frozenset(b) for b in nodes)
-        parents = tuple(parent)
-        m = len(node_sets)
-        if m == 0:
-            raise ValueError("a decomposition needs at least one node")
-        if len(parents) != m:
-            raise ValueError(f"{m} nodes but {len(parents)} parent pointers")
-        if parents[0] != 0:
-            raise ValueError("node 0 must be the root (parent[0] == 0)")
-        # Walk i marks its nodes i and stops at the root or a marked node,
-        # which reaches the root if an earlier walk marked it, else cycles.
-        walked = [0] * m
-        for i in range(1, m):
-            j = i
-            while j and not walked[j]:
-                walked[j] = i
-                p = parents[j]
-                if not (0 <= p < m) or p == j:
-                    raise ValueError(f"node {j} has invalid parent {p}")
-                j = p
-            if walked[j] == i:
-                raise ValueError(f"parent pointers cycle at node {i}")
-        return cls(nodes=node_sets, parent=parents)
 
 
 def oriented_at_zero(

@@ -3,24 +3,25 @@ into engine variables and propagators, and decode solved instances.
 
 Variables per instance: per decomposition node, a set variable over the
 vertices, a set variable over the edge indices (the edges the node
-holds), a parent integer, and on a tree a depth integer. One channel
-per node ties its edge set to its vertex set, and one union over the
-edge sets places every edge in some node. The unary facts are part of
-the initial domains: node 0 is the root at depth 0, no node is its own
-parent, and on a path node i hangs from node i - 1. On a tree, one
-running-intersection propagator covers every pair of nodes, reading
-the vertices two nodes share straight from their set variables. It
-also keeps each child one level below its parent, so that the depths
-it guards on are those of the rooted tree. On a path, whose parents
-are constants, one chain over the node sets in path order keeps each
-vertex's nodes contiguous. Either way the model grows linearly in m.
+holds), and on a tree a parent and a depth integer. One channel per
+node ties its edge set to its vertex set, and one union over the edge
+sets places every edge in some node. On a tree the unary facts are part
+of the initial domains: node 0 is the root at depth 0, and no node is
+its own parent. One running-intersection propagator covers every pair
+of nodes, reading the vertices two nodes share straight from their set
+variables. It also keeps each child one level below its parent, so that
+the depths it guards on are those of the rooted tree. On a path node i
+hangs from node i - 1, a constant the model does not hold, and one
+chain over the node sets in path order keeps each vertex's nodes
+contiguous. Either way the model grows linearly in m.
 ``smooth`` asks for a smooth decomposition (see ``driver``).
 Symmetry breaking orders node sets lexicographically on their
 membership vectors, vertex 0 first: every consecutive pair for
 free-form trees, first against last for path-shaped instances (whose
 only node symmetry is reversal). A model built ``around`` a given
-decomposition has its node sets and parents fixed from the start and
-goes without the cut: the search makes no decision for it to prune.
+decomposition has its node sets, and on a tree its parents, fixed from
+the start and goes without the cut: the search makes no decision for it
+to prune.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ class ModelInstance:
         self,
         solver: Solver,
         node_sets: list[SetVar],
-        parents: list[IntVar],
+        parents: list[IntVar],  # empty on a path
         depths: list[IntVar],  # empty on a path
         edge_sets: list[SetVar],  # per node, over the indices of g.edges
         decision_vars: list[IntVar | SetVar],
@@ -75,12 +76,13 @@ def build_model(
     cardinality at most w (a path-shaped one for the PATH variant)?
     With ``smooth`` it asks for a smooth one: every node of exactly w
     vertices, each child with exactly one vertex its parent lacks.
-    Decision variables are the parent variables followed by the edge
-    sets, whose elements the search takes edge by edge, nodes ascending.
+    Decision variables are a tree's parent variables followed by the
+    edge sets, whose elements the search takes edge by edge, nodes
+    ascending.
 
     ``around``, a decomposition with m nodes over vertices of g and
     parents in 0..m-1 (in path order for PATH, whose parents are the
-    chain either way), asks whether it is one: node set i is fixed to
+    chain and not read), asks whether it is one: node set i is fixed to
     its node i before any propagator is posted, and on a tree parent i
     is created fixed to its parent i. No lex cut is posted, so the
     nodes keep their order. The root propagation derives the depths
@@ -96,22 +98,19 @@ def build_model(
 
     solver = Solver()
     node_sets = [solver.set_var(g.n, f"node{i}") for i in range(m)]
-    fixed = None
     if around is not None:
         for x, bag in zip(node_sets, around.nodes):
             x.required = x.possible = sum(1 << v for v in bag)
-        fixed = around.parent
-    if variant is Variant.PATH:
-        fixed = range(-1, m - 1)  # node i hangs from node i - 1
-    parents = [solver.int_var(0, 0, "parent0")]
-    for i in range(1, m):
-        if fixed is None:
-            parents.append(solver.int_var(0, m - 1, f"parent{i}"))
-            parents[i].remove(i)
-        else:
-            parents.append(solver.int_var(fixed[i], fixed[i], f"parent{i}"))
-    depths = []
+    parents, depths = [], []
     if variant is Variant.TREE:
+        parents.append(solver.int_var(0, 0, "parent0"))
+        for i in range(1, m):
+            if around is None:
+                parents.append(solver.int_var(0, m - 1, f"parent{i}"))
+                parents[i].remove(i)
+            else:
+                p = around.parent[i]
+                parents.append(solver.int_var(p, p, f"parent{i}"))
         depths = [solver.int_var(0, 0, "depth0")]
         depths += [solver.int_var(0, m - 1, f"depth{i}") for i in range(1, m)]
 
@@ -152,8 +151,9 @@ def build_model(
 
 def extract_decomposition(mi: ModelInstance) -> TreeDecomposition:
     """Read the node sets and parents of the solved model mi into a
-    TreeDecomposition. Raises ValueError if one of them is not fixed."""
+    TreeDecomposition; a path's parents are the chain 0, 0, 1, ..., m - 2.
+    Raises ValueError if one of them is not fixed."""
     nodes = tuple(x.value() for x in mi.node_sets)
-    parent = tuple(p.value() for p in mi.parents)
+    parent = tuple(p.value() for p in mi.parents) or (0, *range(len(nodes) - 1))
     return TreeDecomposition(nodes=nodes, parent=parent)
 

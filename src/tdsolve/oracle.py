@@ -85,7 +85,7 @@ def decomposition_from_order(g: Graph, order: Sequence[int]) -> TreeDecompositio
     for t in range(last):
         later = [position[u] for u in bags[t] if position[u] > t]
         parent[last - t] = last - (min(later) if later else t + 1)
-    return TreeDecomposition.from_parents(bags[::-1], parent)
+    return TreeDecomposition(tuple(bags[::-1]), tuple(parent))
 
 
 def _bits(mask: int) -> Iterator[int]:

@@ -7,8 +7,13 @@ import itertools
 import random
 
 from tdsolve.engine import SolveReport, Solver
-from tdsolve.graphs import Graph
+from tdsolve.graphs import Graph, TreeDecomposition
 from tdsolve.model import build_model
+
+
+def decomposition(nodes, parent):
+    """A TreeDecomposition of the given node contents and parent pointers."""
+    return TreeDecomposition(tuple(map(frozenset, nodes)), tuple(parent))
 
 
 def path_graph(n):
@@ -163,7 +168,7 @@ def solutions_within(solver: Solver, int_masks, set_bounds):
 
 def assignment_within_bounds(solver: Solver, assignment) -> bool:
     for var in solver.int_vars:
-        if not var.contains(assignment[var]):
+        if assignment[var] not in var.domain():
             return False
     for svar in solver.set_vars:
         members = 0

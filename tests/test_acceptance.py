@@ -18,6 +18,7 @@ from helpers import (
     all_labeled_graphs,
     complete_graph,
     cycle_graph,
+    decomposition,
     draw_graph,
     edgeless_graph,
     random_connected_graph,
@@ -329,7 +330,7 @@ def _reparent_mutants(td):
                 continue
             parent = list(td.parent)
             parent[i] = j
-            yield TreeDecomposition.from_parents(td.nodes, parent)
+            yield decomposition(td.nodes, parent)
 
 
 def _drop_leaf_mutants(td):
@@ -341,7 +342,7 @@ def _drop_leaf_mutants(td):
             continue
         nodes = [bag for i, bag in enumerate(td.nodes) if i != leaf]
         parent = [p - (p > leaf) for i, p in enumerate(td.parent) if i != leaf]
-        yield TreeDecomposition.from_parents(nodes, parent)
+        yield decomposition(nodes, parent)
 
 
 def test_criterion_7_validator_mutation_suite():

@@ -15,6 +15,7 @@ from helpers import (
     all_labeled_graphs,
     complete_graph,
     cycle_graph,
+    decomposition,
     draw_graph,
     edgeless_graph,
     path_graph,
@@ -242,18 +243,18 @@ def test_confirm_rejects_a_broken_decomposition(monkeypatch):
     g = path_graph(4)
     # right sizes, but vertex 1 skips the middle node: the validator
     # names it before any model is built
-    broken = TreeDecomposition.from_parents([{0, 1}, {2, 3}, {1, 2}], [0, 0, 1])
+    broken = decomposition([{0, 1}, {2, 3}, {1, 2}], [0, 0, 1])
     for variant in Variant:
         with pytest.raises(ValueError, match=r"\(m=3, w=2\) cannot confirm .*: CONNECTEDNESS"):
             decide(g, 3, 2, variant=variant, confirm=broken)
-    sound = TreeDecomposition.from_parents([{0, 1}, {1, 2}, {2, 3}], [0, 0, 1])
+    sound = decomposition([{0, 1}, {1, 2}, {2, 3}], [0, 0, 1])
     step = decide(g, 3, 2, confirm=sound, decision_limit=0)
     report = step.report
     assert (step.status, step.confirmed, report.decisions, report.fails) == (Status.SAT, True, 0, 0)
     assert report.propagations > 0
     # a confirmation runs on the bare model, so it refuses smooth, even
     # for a valid decomposition whose nodes are not all of w vertices
-    wide = TreeDecomposition.from_parents([{0, 1, 2}, {1, 2, 3}, {2, 3}], [0, 0, 1])
+    wide = decomposition([{0, 1, 2}, {1, 2, 3}, {2, 3}], [0, 0, 1])
     assert validate(g, wide, expect_m=3, expect_w=3) == []
     with pytest.raises(ValueError, match="bare model"):
         decide(g, 3, 3, confirm=wide, smooth=True)
@@ -324,7 +325,7 @@ def test_a_decided_step_leaves_no_cyclic_garbage(monkeypatch):
     # the collector off, whatever gc.collect() then finds was left behind
     tree17 = draw_graph(9, 907, 0.7, 17)  # searches its tree step (4, 6)
     path84 = draw_graph(9, 905, 0.5, 84)  # searches its path step (5, 5)
-    broken = TreeDecomposition.from_parents([{0, 1}, {2, 3}, {1, 2}], [0, 0, 1])
+    broken = decomposition([{0, 1}, {2, 3}, {1, 2}], [0, 0, 1])
     gc.collect()
     gc.disable()
     try:

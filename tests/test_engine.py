@@ -57,7 +57,7 @@ def test_no_constraints_zero_propagations():
 def test_search_single_free_variable():
     s = Solver()
     s.int_var(0, 1)
-    report = s.solve()
+    report = s.solve(s.int_vars)
     assert report.status is Status.SAT
     assert report.decisions <= 1
 
@@ -67,7 +67,7 @@ def test_search_wipeout_is_unsat():
     x = s.set_var(1)
     x.exclude(0)
     s.post(UnionEquals([x], 0b1))
-    report = s.solve()
+    report = s.solve(s.int_vars)
     assert report.status is Status.UNSAT
     assert report.decisions == 0 and report.fails == 1
 
@@ -76,7 +76,7 @@ def test_search_fixes_set_vars_through_fallback():
     s = Solver()
     x = s.set_var(3)
     s.post(UnionEquals([x], 0b111))
-    report = s.solve()
+    report = s.solve(s.int_vars)
     assert report.status is Status.SAT
     assert x.value() == frozenset({0, 1, 2})
 
@@ -109,12 +109,13 @@ def test_min_domain_ties_break_by_position():
 
 
 def _dive(s, dvars):
-    """The first alternative of every branch down to a full assignment."""
+    """The first alternative of every branch down to a full assignment,
+    with the number of alternatives it had."""
     taken = []
     while (alternatives := s._branch(dvars)) is not None:
-        op, var, v = alternatives[0]
-        taken.append((op, var.name, v, len(alternatives)))
-        s._apply(alternatives[0])
+        operation, value = alternatives[0]
+        taken.append((operation, value, len(alternatives)))
+        operation(value)
         assert s.propagate()
     return taken
 
@@ -132,12 +133,12 @@ def test_decision_set_elements_rank_between_two_and_more_values():
     a.exclude(0)
     b.include(2)
     assert _dive(s, [three, a, b, two]) == [
-        ("=", "two", 0, 2),
-        ("out", "b", 0, 2),
-        ("out", "a", 1, 2),
-        ("out", "b", 1, 2),
-        ("=", "three", 0, 3),
-        ("in", "a", 2, 2),
+        (two.assign, 0, 2),
+        (b.exclude, 0, 2),
+        (a.exclude, 1, 2),
+        (b.exclude, 1, 2),
+        (three.assign, 0, 3),
+        (a.include, 2, 2),
     ]
     assert (a.required, a.possible, b.required, b.possible) == (0b100, 0b100, 0b100, 0b100)
 
@@ -152,18 +153,20 @@ def test_branching_takes_the_uncovered_element_with_fewest_holders():
     sets[0].exclude(3)
     sets[1].exclude(3)
     sets[1].exclude(4)
+    s0, s1, s2 = sets
     taken = []
     while (alternatives := s._branch(sets)) is not None:
-        taken.append([(op, var.name, e) for op, var, e in alternatives])
-        s._apply(alternatives[-1])  # include, which covers the element
+        taken.append(alternatives)
+        operation, value = alternatives[-1]
+        operation(value)  # include, which covers the element
     assert taken[:4] == [
-        [("out", "s2", 3), ("in", "s2", 3)],  # fewest holders
-        [("out", "s1", 2), ("in", "s1", 2)],  # a tie of two: lowest index
-        [("out", "s0", 4), ("in", "s0", 4)],
-        [("out", "s0", 1), ("in", "s0", 1)],  # first set that can hold it
+        [(s2.exclude, 3), (s2.include, 3)],  # fewest holders
+        [(s1.exclude, 2), (s1.include, 2)],  # a tie of two: lowest index
+        [(s0.exclude, 4), (s0.include, 4)],
+        [(s0.exclude, 1), (s0.include, 1)],  # first set that can hold it
     ]
     # every element is covered: the labelling fallback, include first
-    assert all(alts[0][0] == "in" for alts in taken[4:])
+    assert all(alts[0][0].__name__ == "include" for alts in taken[4:])
 
 
 def test_branching_agrees_with_a_straight_count_of_holders():
@@ -181,18 +184,18 @@ def test_branching_agrees_with_a_straight_count_of_holders():
         open_ = [e for e in range(6) if holders[e] and not covered[e]]
         alternatives = s._branch(sets)
         if not open_:
-            assert alternatives is None or alternatives[0][0] == "in"
+            assert alternatives is None or alternatives[0][0].__name__ == "include"
             continue
         e = min(open_, key=lambda e: (holders[e], e))
         first = next(x for x in sets if x.undecided() >> e & 1)
-        assert alternatives == [("out", first, e), ("in", first, e)]
+        assert alternatives == [(first.exclude, e), (first.include, e)]
 
 
 def test_decision_limit_returns_indeterminate():
     s = Solver()
     for _ in range(8):
         s.int_var(0, 1)
-    report = s.solve(decision_limit=0)
+    report = s.solve(s.int_vars, decision_limit=0)
     assert report.status is Status.INDETERMINATE
 
 
@@ -291,7 +294,7 @@ def _random_micro_model(rng):
             ints[0].remove(v)
     if rng.random() < 0.3:
         v = rng.randint(0, 3)
-        if ints[-1].contains(v):
+        if v in ints[-1].domain():
             ints[-1].assign(v)
     return s
 
@@ -302,7 +305,7 @@ def test_search_complete_against_enumeration():
         s = _random_micro_model(rng)
         ints, sets = snapshot(s)
         expected = bool(solutions_within(s, ints, sets))
-        report = s.solve()
+        report = s.solve(s.int_vars)
         assert (report.status is Status.SAT) == expected
         if report.status is Status.SAT:
             assert s.check_witness(solved_assignment(s))
@@ -352,7 +355,7 @@ def test_deterministic_statistics():
         s.post(UnionEquals(xs, 0b1111))
         for x in xs:
             s.post(CardinalityAtMost(x, 2))
-        report = s.solve()
+        report = s.solve(s.int_vars)
         return report.status, report.decisions, report.propagations, report.fails
 
     assert run() == run()

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from helpers import complete_graph, path_graph, random_graph
+from helpers import complete_graph, decomposition, path_graph, random_graph
 from tdsolve.graphio import (
     MAX_VERTICES,
     ParseError,
@@ -16,7 +16,6 @@ from tdsolve.graphio import (
     parse_td,
     write_td,
 )
-from tdsolve.graphs import TreeDecomposition
 from tdsolve.oracle import brute_treewidth
 from tdsolve.validator import validate
 
@@ -101,26 +100,26 @@ def test_parse_gr_order_insensitive():
 
 def test_write_td_single_node():
     g = complete_graph(3)
-    td = TreeDecomposition.from_parents([{0, 1, 2}], [0])
+    td = decomposition([{0, 1, 2}], [0])
     assert write_td(td, g) == "s td 1 3 3\nb 1 1 2 3\n"
 
 
 def test_write_td_two_nodes():
     g = path_graph(3)
-    td = TreeDecomposition.from_parents([{0, 1}, {1, 2}], [0, 0])
+    td = decomposition([{0, 1}, {1, 2}], [0, 0])
     assert write_td(td, g) == "s td 2 2 3\nb 1 1 2\nb 2 2 3\n1 2\n"
 
 
 def test_write_td_refuses_invalid():
     g = complete_graph(3)
-    td = TreeDecomposition.from_parents([{0, 1}], [0])
+    td = decomposition([{0, 1}], [0])
     with pytest.raises(ValueError):
         write_td(td, g)
 
 
 def test_td_round_trip_identity():
     g = path_graph(3)
-    td = TreeDecomposition.from_parents([{0, 1}, {1, 2}], [0, 0])
+    td = decomposition([{0, 1}, {1, 2}], [0, 0])
     text = write_td(td, g)
     back = parse_td(text)
     assert back == td
@@ -173,7 +172,7 @@ def test_export_dot_graph_only():
 
 def test_export_dot_with_decomposition():
     g = path_graph(3)
-    td = TreeDecomposition.from_parents([{0, 1}, {1, 2}], [0, 0])
+    td = decomposition([{0, 1}, {1, 2}], [0, 0])
     dot = export_dot(g, td)
     assert '"{1,2}"' in dot and '"{2,3}"' in dot
     assert dot.count("b2 -> b1") == 1
@@ -182,9 +181,7 @@ def test_export_dot_with_decomposition():
 def test_export_dot_six_node_width_three():
     # eight vertices, six boxes of width <= 3, five parent arcs
     g = path_graph(8)
-    td = TreeDecomposition.from_parents(
-        [{0, 1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 6}, {6, 7}], [0, 0, 1, 2, 3, 4]
-    )
+    td = decomposition([{0, 1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 6}, {6, 7}], [0, 0, 1, 2, 3, 4])
     assert validate(g, td, expect_m=6, expect_w=3) == []
     dot = export_dot(g, td)
     assert dot.count("shape=box") == 1
@@ -195,4 +192,4 @@ def test_export_dot_six_node_width_three():
 def test_export_dot_rejects_invalid_decomposition():
     g = complete_graph(3)
     with pytest.raises(ValueError):
-        export_dot(g, TreeDecomposition.from_parents([{0}], [0]))
+        export_dot(g, decomposition([{0}], [0]))

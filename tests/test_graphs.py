@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from helpers import decomposition
 from tdsolve.graphs import Graph, TreeDecomposition
 
 
@@ -32,27 +33,6 @@ def test_adjacency_is_symmetric():
             assert u in g.adjacency[v]
 
 
-def test_from_parents_keeps_nodes_and_parents():
-    td = TreeDecomposition.from_parents([{0, 1}, {1, 2}, {2, 3}], [0, 0, 1])
-    assert td == TreeDecomposition(
-        nodes=(frozenset({0, 1}), frozenset({1, 2}), frozenset({2, 3})), parent=(0, 0, 1)
-    )
-    assert td.width == 2
-    assert td.m == 3
-    assert [(td.parent[i], i) for i in range(1, td.m)] == [(0, 1), (1, 2)]
-
-
-def test_from_parents_rejects_broken_shapes():
-    with pytest.raises(ValueError):
-        TreeDecomposition.from_parents([], [])
-    with pytest.raises(ValueError):
-        TreeDecomposition.from_parents([{0}], [1])
-    with pytest.raises(ValueError):
-        TreeDecomposition.from_parents([{0}, {1}], [0, 1])  # self-parent
-    with pytest.raises(ValueError):
-        TreeDecomposition.from_parents([{0}, {1}, {2}], [0, 2, 1])  # cycle
-
-
 def test_records_are_immutable_values():
     g = Graph.from_edges(3, [(1, 0), (2, 1)])
     assert g == Graph(
@@ -66,9 +46,10 @@ def test_records_are_immutable_values():
     )
     td = TreeDecomposition(nodes=(frozenset({0, 1}), frozenset({1, 2})), parent=(0, 0))
     assert repr(td) == "TreeDecomposition(nodes=(frozenset({0, 1}), frozenset({1, 2})), parent=(0, 0))"
-    assert td == TreeDecomposition.from_parents([{0, 1}, {1, 2}], [0, 0])
-    assert td != TreeDecomposition.from_parents([{1, 2}, {0, 1}], [0, 0])
-    assert hash(td) == hash(TreeDecomposition.from_parents([{0, 1}, {1, 2}], [0, 0]))
+    assert (td.m, td.width) == (2, 2)
+    assert td == decomposition([{0, 1}, {1, 2}], [0, 0])
+    assert td != decomposition([{1, 2}, {0, 1}], [0, 0])
+    assert hash(td) == hash(decomposition([{0, 1}, {1, 2}], [0, 0]))
     assert len({g, Graph.from_edges(3, [(0, 1), (1, 2)]), td}) == 2
     for record, name in ((g, "n"), (g, "edges"), (td, "parent"), (td, "extra")):
         with pytest.raises(AttributeError):

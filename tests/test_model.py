@@ -12,6 +12,7 @@ from helpers import (
     all_labeled_graphs,
     complete_graph,
     cycle_graph,
+    decomposition,
     path_graph,
     random_graph,
     search_without_lex,
@@ -70,11 +71,12 @@ def test_path_variant_lex_is_reversal_only():
 
 @pytest.mark.parametrize("smooth", [False, True])
 def test_path_size_formulas(smooth):
-    # no depths, and one chain instead of the tree's running intersection
+    # no parents or depths, and one chain instead of the tree's running
+    # intersection
     g = random_graph(5, 0.5, random.Random(3))
     mi = build_model(g, m=4, w=2, variant=Variant.PATH, smooth=smooth)
     assert mi.depths == []
-    assert mi.solver.int_vars == mi.parents
+    assert mi.parents == mi.solver.int_vars == []
     kinds = [type(p) for p in mi.solver.propagators]
     assert kinds.count(PathIntersection) == 1 and RunningIntersection not in kinds
     assert len(kinds) == 2 * 4 + 4  # cardinality and channel per node, two unions, chain, lex
@@ -201,6 +203,7 @@ def test_path_variant_parent_chain():
     assert mi.solver.solve(decision_vars=mi.decision_vars).status is Status.SAT
     assert mi.depths == []
     assert not any(var.name.startswith("depth") for var in solved_assignment(mi.solver))
+    assert extract_decomposition(mi).parent == (0, 0, 1)
 
 
 def _assert_at_fixpoint(solver):
@@ -236,7 +239,8 @@ def test_full_model_propagation_is_idempotent():
                         alternatives = solver._branch(mi.decision_vars)
                         if alternatives is None:
                             break
-                        solver._apply(rng.choice(alternatives))
+                        operation, value = rng.choice(alternatives)
+                        operation(value)
                         consistent = solver.propagate()
     assert checked > 250  # the dives are not all cut short by failures
 
@@ -326,7 +330,7 @@ def test_encoding_keeps_the_nodes_as_given():
     g = path_graph(4)
     # a chain rooted at its lex-largest node, listed out of lex order
     # (LexLeq would put {2, 3} first: membership vectors, vertex 0 first)
-    given = TreeDecomposition.from_parents([{0, 1}, {1, 2}, {2, 3}], [0, 0, 1])
+    given = decomposition([{0, 1}, {1, 2}, {2, 3}], [0, 0, 1])
     mi = build_model(g, 3, 2, around=given)
     assert lex_count(mi) == 0
     assert [(x.required, x.possible) for x in mi.node_sets] == [
@@ -351,7 +355,7 @@ def test_confirm_refuses_what_is_no_decomposition_of_the_instance():
     # and a violation is the caller's error, named in the message
     g = path_graph(4)
     sound = [{0, 1}, {1, 2}, {2, 3}]
-    assert decide(g, 3, 2, confirm=TreeDecomposition.from_parents(sound, [0, 0, 1])).witness
+    assert decide(g, 3, 2, confirm=decomposition(sound, [0, 0, 1])).witness
     for variant in Variant:
         for bags, kind in [
             ([{0, 1}, {1, 2}, {2, 3, 4}], "COVERAGE"),  # vertex 4 is not in P4
@@ -369,16 +373,16 @@ def test_a_path_confirmation_must_be_in_path_order():
     bags = [{0, 1}, {1, 2}, {2, 3}]
     # the right node sets under a star: the validator rejects them, and
     # on a path they must hang node i from node i - 1 as given
-    star = TreeDecomposition.from_parents(bags, [0, 0, 0])
+    star = decomposition(bags, [0, 0, 0])
     with pytest.raises(ValueError, match="CONNECTEDNESS"):
         decide(g, 3, 2, confirm=star)
     # a star valid for a tree, but in no path order
-    centred = TreeDecomposition.from_parents([bags[1], bags[0], bags[2]], [0, 0, 0])
+    centred = decomposition([bags[1], bags[0], bags[2]], [0, 0, 0])
     assert decide(g, 3, 2, confirm=centred).witness == centred
     for td in (star, centred):
         with pytest.raises(ValueError, match="must hang node i from node i - 1"):
             decide(g, 3, 2, variant=Variant.PATH, confirm=td)
-    chain = TreeDecomposition.from_parents(bags, [0, 0, 1])
+    chain = decomposition(bags, [0, 0, 1])
     assert decide(g, 3, 2, variant=Variant.PATH, confirm=chain).witness == chain
 
 

@@ -276,7 +276,7 @@ def test_running_intersection_prunes_parent_candidates():
     nodes[2].restrict(0b011)  # vertex 2 impossible in node 2
     s.post(prop)
     assert s.propagate()
-    assert not parents[1].contains(2)
+    assert 2 not in parents[1].domain()
 
 
 def test_running_intersection_enforces_subset_when_parent_fixed():
@@ -338,8 +338,8 @@ def test_running_intersection_forces_guard_negation():
     s.post(prop)
     assert s.propagate()
     # bound-level consequence of depth_i > depth_k
-    assert not depth_i.contains(0)
-    assert not depth_k.contains(3)
+    assert 0 not in depth_i.domain()
+    assert 3 not in depth_k.domain()
     assert min(depth_i.domain()) > min(depth_k.domain())
     assert max(depth_k.domain()) < max(depth_i.domain())
 
