@@ -33,13 +33,13 @@ it, no step is confirmed past it, and each searched step gets only what
 is left of it. The decision limit caps each searched step: those with
 lb < w < ub and, once the deadline has passed, every later one.
 
-A searched step asks the model for a smooth decomposition: every node
-of exactly w vertices, each child with exactly one vertex its parent
-lacks. Since m + w = n + 1 at every step, g has a decomposition with m
-nodes of at most w vertices iff it has a smooth one (Bodlaender 1996),
-so the step's status does not change, and the smooth constraints cut
-the search. A confirmed step stays on the bare model, because the
-order's decomposition may have nodes of fewer than w vertices.
+With m + w = n + 1, as at every step, g has a decomposition with m
+nodes of at most w vertices iff it has a smooth one: every node of
+exactly w vertices, each child with exactly one vertex its parent lacks
+(Bodlaender 1996). So ``decide`` searches such an instance on the smooth
+model, whose constraints cut the search, and any other one on the bare
+model; a confirmation stays bare, since the order's decomposition may
+have nodes of fewer than w vertices.
 """
 
 from __future__ import annotations
@@ -176,7 +176,6 @@ def decide(
     decision_limit: int | None = None,
     timeout: float | None = None,
     confirm: TreeDecomposition | None = None,
-    smooth: bool = False,
 ) -> ScheduleStep:
     """Solve one decision instance; SAT steps carry a validated witness.
 
@@ -184,20 +183,18 @@ def decide(
     time limits, which ``check_limits`` checks first. With it, a
     decomposition to confirm, the validator checks it first: m nodes of
     at most w vertices, and for PATH a path hanging each node i >= 1
-    from node i - 1. Any violation raises ValueError, which names it;
-    so does ``smooth``, since a confirmation runs on the bare model.
+    from node i - 1. Any violation raises ValueError, which names it.
     Then ``build_model(around=confirm)`` confirms it by its root
     propagation, a rejection there being a disagreement between model
     and validator (RuntimeError). The step is SAT with no decision or
     fail, its witness is ``confirm`` itself, and the limits do not
-    apply. ``smooth`` asks for a smooth decomposition, which keeps the
-    status only when m + w = n + 1.
+    apply. A search with m + w = n + 1 runs on the smooth model, which
+    keeps the status there, so its witness is smooth; any other step
+    runs on the bare model.
     """
     check_limits(decision_limit, timeout)
     path = variant is Variant.PATH
     if confirm is not None:
-        if smooth:
-            raise ValueError("a confirmation runs on the bare model, not a smooth one")
         problems = validate(g, confirm, expect_m=m, expect_w=w, expect_path=path)
         if path and tuple(confirm.parent) != (0, *range(m - 1)):
             problems.append("a path to confirm must hang node i from node i - 1")
@@ -207,6 +204,7 @@ def decide(
                 f"step (m={m}, w={w}) cannot confirm an invalid decomposition: {detail}"
             )
         decision_limit, timeout = 0, None
+    smooth = confirm is None and m + w == g.n + 1
     mi = build_model(g, m, w, variant=variant, smooth=smooth, around=confirm)
     try:
         report = mi.solver.solve(
@@ -543,7 +541,6 @@ def _run_schedule(
                     decision_limit=decision_limit,
                     timeout=timeout,
                     confirm=confirm,
-                    smooth=confirm is None,
                 )
             except ValueError as exc:
                 if confirm is None:

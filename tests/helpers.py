@@ -8,7 +8,7 @@ import random
 
 from tdsolve.engine import SolveReport, Solver
 from tdsolve.graphs import Graph, TreeDecomposition
-from tdsolve.model import build_model
+from tdsolve.model import Variant, build_model
 
 
 def decomposition(nodes, parent):
@@ -105,9 +105,10 @@ def snapshot(solver: Solver):
     return ints, sets
 
 
-def search_without_lex(g: Graph, m: int, w: int) -> SolveReport:
-    """Search the tree instance (m, w) on the model without the lex cut."""
-    mi = build_model(g, m, w, symmetry_breaking=False)
+def search_model(g: Graph, m: int, w: int, variant=Variant.TREE, **options) -> SolveReport:
+    """Search what ``build_model(g, m, w, variant, **options)`` builds,
+    with no limit: the bare model by default, whatever the instance."""
+    mi = build_model(g, m, w, variant, **options)
     return mi.solver.solve(decision_vars=mi.decision_vars)
 
 

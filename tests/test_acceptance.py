@@ -26,11 +26,11 @@ from helpers import (
     random_graph,
     random_tree,
     assignment_within_bounds,
-    search_without_lex,
+    search_model,
     snapshot,
     solutions_within,
 )
-from tdsolve.driver import _schedule_pairs, decide, pathwidth, treewidth
+from tdsolve.driver import _schedule_pairs, pathwidth, treewidth
 from tdsolve.engine import Status
 from tdsolve.graphio import parse_td, write_td
 from tdsolve.graphs import Graph, TreeDecomposition
@@ -386,11 +386,11 @@ def test_criterion_8_symmetry_breaking_soundness():
     for n in range(1, 5):
         for g in all_labeled_graphs(n):
             for m, w in _schedule_pairs(n):
-                a = decide(g, m, w)
-                b = search_without_lex(g, m, w)
+                a = search_model(g, m, w)
+                b = search_model(g, m, w, symmetry_breaking=False)
                 assert a.status == b.status, (g.edges, m, w)
                 if n == 4:
-                    decisions_with += a.report.decisions
+                    decisions_with += a.decisions
                     decisions_without += b.decisions
     assert decisions_with <= decisions_without
     print(

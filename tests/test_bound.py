@@ -83,7 +83,7 @@ def test_upper_bound_agrees_with_search():
     for g in _bound_corpus():
         for variant in Variant:
             ub = upper_bound(g, variant)[0]
-            step = decide(g, g.n + 1 - ub, ub, variant=variant, smooth=True)
+            step = decide(g, g.n + 1 - ub, ub, variant=variant)
             assert step.status is Status.SAT, (g.edges, variant, ub)
             assert not step.confirmed
             searched += 1

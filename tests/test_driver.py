@@ -20,6 +20,7 @@ from helpers import (
     edgeless_graph,
     path_graph,
     random_graph,
+    search_model,
 )
 from test_cli import GAP_GR
 from tdsolve import driver
@@ -173,9 +174,28 @@ def test_smooth_steps_agree_with_bare_steps():
                 g = random_graph(n, p, rng)
                 for variant in Variant:
                     for m, w in driver._schedule_pairs(n):
-                        bare = decide(g, m, w, variant=variant)
-                        smooth = decide(g, m, w, variant=variant, smooth=True)
+                        bare = search_model(g, m, w, variant)
+                        smooth = decide(g, m, w, variant=variant)
                         assert smooth.status == bare.status, (g.edges, variant, m, w)
+                        if smooth.status is Status.SAT:
+                            assert {len(x) for x in smooth.witness.nodes} == {w}
+
+
+def test_decide_agrees_with_the_oracle_on_and_above_the_diagonal():
+    # with m + w >= n + 1, m nodes of at most w vertices exist iff w
+    # reaches the minimum width: a smooth decomposition has n + 1 - w
+    # nodes, and duplicate leaves pad it. Only the diagonal is smooth.
+    checked = 0
+    for n in range(1, 5):
+        for g in all_labeled_graphs(n):
+            for variant, oracle in ((Variant.TREE, brute_treewidth), (Variant.PATH, brute_pathwidth)):
+                width = oracle(g).width
+                for m in range(1, n + 1):
+                    for w in range(n + 1 - m, n + 1):
+                        step = decide(g, m, w, variant=variant)
+                        assert (step.status is Status.SAT) == (w >= width), (g.edges, variant, m, w)
+                        checked += 1
+    assert checked == 1390
 
 
 def test_monotone_in_node_count_along_schedule():
@@ -252,12 +272,6 @@ def test_confirm_rejects_a_broken_decomposition(monkeypatch):
     report = step.report
     assert (step.status, step.confirmed, report.decisions, report.fails) == (Status.SAT, True, 0, 0)
     assert report.propagations > 0
-    # a confirmation runs on the bare model, so it refuses smooth, even
-    # for a valid decomposition whose nodes are not all of w vertices
-    wide = decomposition([{0, 1, 2}, {1, 2, 3}, {2, 3}], [0, 0, 1])
-    assert validate(g, wide, expect_m=3, expect_w=3) == []
-    with pytest.raises(ValueError, match="bare model"):
-        decide(g, 3, 3, confirm=wide, smooth=True)
     # past a validator that accepts anything, the model's rejection is a
     # disagreement between the two, an internal error
     monkeypatch.setattr(driver, "validate", lambda *args, **kwargs: [])

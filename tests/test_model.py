@@ -15,7 +15,7 @@ from helpers import (
     decomposition,
     path_graph,
     random_graph,
-    search_without_lex,
+    search_model,
     snapshot,
     solved_assignment,
 )
@@ -250,8 +250,8 @@ def test_lex_toggle_preserves_outcomes_small():
     for n in range(1, 4):
         for g in all_labeled_graphs(n):
             for m, w in _schedule_pairs(n):
-                with_lex = decide(g, m, w)
-                without = search_without_lex(g, m, w)
+                with_lex = search_model(g, m, w)
+                without = search_model(g, m, w, symmetry_breaking=False)
                 assert with_lex.status == without.status
 
 
@@ -260,8 +260,8 @@ def test_lex_toggle_preserves_outcomes_sampled_n5():
     for _ in range(40):
         g = random_graph(5, 0.5, rng)
         for m, w in _schedule_pairs(5):
-            with_lex = decide(g, m, w)
-            without = search_without_lex(g, m, w)
+            with_lex = search_model(g, m, w)
+            without = search_model(g, m, w, symmetry_breaking=False)
             assert with_lex.status == without.status, (g.edges, m, w)
 
 

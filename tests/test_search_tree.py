@@ -16,9 +16,9 @@ on typed set events, and the path values were re-recorded once, when
 one PathIntersection chain replaced the pairwise running intersection
 on paths.
 
-Every pinned step is searched again through ``decide`` on the bare
-model, so the whole search tree stays pinned although the schedule no
-longer searches every step. In the schedule, a step with
+Every pinned step is searched again on the bare model, through
+``helpers.search_model``, so the whole search tree stays pinned although
+the schedule no longer searches every step. In the schedule, a step with
 w <= minor_min_width(g) reads 0 decisions and 0 fails and carries the
 certificate, a step with w >= the greedy upper bound is confirmed from
 the greedy order's decomposition: SAT, with no decision or fail, and a
@@ -37,6 +37,7 @@ import hashlib
 
 import pytest
 
+from helpers import search_model
 from tdsolve.driver import (
     bounds,
     decide,
@@ -173,8 +174,8 @@ def test_search_tree_is_pinned(problem, index):
     variant = Variant.TREE if problem == "treewidth" else Variant.PATH
     searched = []
     for m, w, *_ in pinned:
-        step = decide(g, m, w, variant=variant)
-        searched.append(_row(step, step.report.decisions, step.report.fails))
+        report = search_model(g, m, w, variant)
+        searched.append((m, w, report.status.value, report.decisions, report.fails))
     assert searched == pinned
 
     lb, minor = minor_min_width(g)
@@ -188,7 +189,7 @@ def test_search_tree_is_pinned(problem, index):
             assert _row(step, step.report.decisions, step.report.fails) == (m, w, "SAT", 0, 0)
             assert status == "SAT"
         else:
-            smooth = decide(g, m, w, variant=variant, smooth=True)
+            smooth = decide(g, m, w, variant=variant)
             assert _row(step, step.report.decisions, step.report.fails) == _row(
                 smooth, smooth.report.decisions, smooth.report.fails
             )
@@ -214,7 +215,7 @@ PINNED_STEPS = [
 @pytest.mark.parametrize("index", range(len(PINNED_STEPS)))
 def test_searched_path_steps_are_pinned(index):
     n, edges, m, w, *expected = PINNED_STEPS[index]
-    step = decide(Graph.from_edges(n, edges), m, w, variant=Variant.PATH, smooth=True)
+    step = decide(Graph.from_edges(n, edges), m, w, variant=Variant.PATH)
     assert [step.status.value, step.report.decisions, step.report.fails] == expected
 
 
@@ -231,7 +232,7 @@ def test_searched_tree_step_is_pinned():
     g = Graph.from_edges(9, TREE_GAP_EDGES)
     lb, _, upper = bounds(g, Variant.TREE)
     assert lb < 6 < upper[0]  # the schedule searches the step
-    step = decide(g, 4, 6, smooth=True)
+    step = decide(g, 4, 6)
     assert [step.status.value, step.report.decisions, step.report.fails] == ['UNSAT', 2510, 1256]
 
 
