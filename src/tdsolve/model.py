@@ -3,17 +3,18 @@ into engine variables and propagators, and decode solved instances.
 
 Variables per instance: per decomposition node, a set variable over the
 vertices, a set variable over the edge indices (the edges the node
-holds), and on a tree a parent and a depth integer. One channel per
-node ties its edge set to its vertex set, and one union over the edge
-sets places every edge in some node. On a tree the unary facts are part
-of the initial domains: node 0 is the root at depth 0, and no node is
-its own parent. One running-intersection propagator covers every pair
-of nodes, reading the vertices two nodes share straight from their set
-variables. It also keeps each child one level below its parent, so that
-the depths it guards on are those of the rooted tree. On a path node i
-hangs from node i - 1, a constant the model does not hold, and one
-chain over the node sets in path order keeps each vertex's nodes
-contiguous. Either way the model grows linearly in m.
+holds), and on a tree a parent and a depth integer. One propagator per
+node bounds its size by w and ties its edge set to its vertex set, and
+one union over the edge sets places every edge in some node. On a tree
+the unary facts are part of the initial domains: node 0 is the root at
+depth 0, and no node is its own parent. One running-intersection
+propagator covers every pair of nodes, reading the vertices two nodes
+share straight from their set variables. It also keeps each child one
+level below its parent, so that the depths it guards on are those of
+the rooted tree. On a path node i hangs from node i - 1, a constant the
+model does not hold, and one chain over the node sets in path order
+keeps each vertex's nodes contiguous. Either way the model grows
+linearly in m.
 ``smooth`` asks for a smooth decomposition (see ``driver``).
 Symmetry breaking orders node sets lexicographically on their
 membership vectors, vertex 0 first: every consecutive pair for
@@ -80,14 +81,14 @@ def build_model(
     edge sets, whose elements the search takes edge by edge, nodes
     ascending.
 
-    ``around``, a decomposition with m nodes over vertices of g and
-    parents in 0..m-1 (in path order for PATH, whose parents are the
-    chain and not read), asks whether it is one: node set i is fixed to
-    its node i before any propagator is posted, and on a tree parent i
-    is created fixed to its parent i. No lex cut is posted, so the
-    nodes keep their order. The root propagation derives the depths
-    and edge sets, and fails iff it is no decomposition of the
-    instance.
+    ``around``, a decomposition with m nodes and m parents (ValueError
+    otherwise) over vertices of g and parents in 0..m-1 (in path order
+    for PATH, whose parents are the chain and not read), asks whether
+    it is one: node set i is fixed to its node i before any propagator
+    is posted, and on a tree parent i is created fixed to its parent i.
+    No lex cut is posted, so the nodes keep their order. The root
+    propagation derives the depths and edge sets, and fails iff it is
+    no decomposition of the instance.
     """
     if m < 1:
         raise ValueError(f"node count must be positive, got {m}")
@@ -95,6 +96,10 @@ def build_model(
         raise ValueError(f"width bound must be positive, got {w}")
     if g.n < 1:
         raise ValueError("the graph must have at least one vertex")
+    if around is not None and not len(around.nodes) == len(around.parent) == m:
+        raise ValueError(
+            f"around has {len(around.nodes)} nodes and {len(around.parent)} parents, not m = {m}"
+        )
 
     solver = Solver()
     node_sets = [solver.set_var(g.n, f"node{i}") for i in range(m)]
@@ -114,14 +119,12 @@ def build_model(
         depths = [solver.int_var(0, 0, "depth0")]
         depths += [solver.int_var(0, m - 1, f"depth{i}") for i in range(1, m)]
 
-    for x in node_sets:
-        solver.post(props.CardinalityAtMost(x, w, exact=smooth))
     solver.post(props.UnionEquals(node_sets, (1 << g.n) - 1))
 
     ends, incident = props.incidence(g.n, g.edges)
     edge_sets = [solver.set_var(len(g.edges), f"edges{k}") for k in range(m)]
     for x, edge_set in zip(node_sets, edge_sets):
-        solver.post(props.EdgeInNode(x, edge_set, ends, incident))
+        solver.post(props.EdgeInNode(x, edge_set, ends, incident, w, smooth))
     solver.post(props.UnionEquals(edge_sets, (1 << len(g.edges)) - 1))
 
     if variant is Variant.PATH:

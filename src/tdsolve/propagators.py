@@ -8,54 +8,19 @@ a tree and keeps each child one level below its parent: the depth
 variables serve only its guard. On a path, whose parents and depths are
 constants, one ``PathIntersection`` over the node sets in path order
 does the same work in linear time.
-With ``smooth`` (``exact`` for the cardinality), they ask for a smooth
+Where an edge lies is a set variable per node over the edge indices:
+one ``EdgeInNode`` per node bounds the node's size by the width and
+ties its edge set to its vertex set with whole-mask rules, and one
+``UnionEquals`` over the edge sets places every edge (subset bounds for
+sets: Gervet, Constraints 1997).
+With ``smooth`` (``exact`` for ``EdgeInNode``), they ask for a smooth
 decomposition: nodes of exactly w vertices, each child with exactly one
 vertex its parent lacks (Bodlaender, SIAM J. Comput. 1996).
-Where an edge lies is a set variable per node over the edge indices:
-``EdgeInNode`` ties it to the node's vertex set with whole-mask rules,
-and one ``UnionEquals`` over the edge sets places every edge (subset
-bounds for sets: Gervet, Constraints 1997).
 """
 
 from __future__ import annotations
 
 from .engine import Inconsistent, IntVar, Propagator, SetVar, bits_of
-
-
-class CardinalityAtMost(Propagator):
-    """|X| <= bound, or with ``exact`` |X| == bound. Reads ``required``,
-    and ``possible`` only when the count is exact, so wakes only on the
-    events it reads."""
-
-    __slots__ = ("x", "bound", "exact")
-    idempotent = True
-
-    def __init__(self, x: SetVar, bound: int, exact: bool = False):
-        if bound < 0:
-            raise ValueError("cardinality bound must be nonnegative")
-        super().__init__(required=[x], possible=[x] if exact else ())
-        self.x = x
-        self.bound = bound
-        self.exact = exact
-
-    def propagate(self) -> None:
-        x = self.x
-        required = x.required
-        count = required.bit_count()
-        if count > self.bound:
-            raise Inconsistent
-        if count == self.bound:
-            x.restrict(required)
-        if self.exact:
-            count = x.possible.bit_count()
-            if count < self.bound:
-                raise Inconsistent
-            if count == self.bound:
-                x.require_mask(x.possible)
-
-    def satisfied(self, value_of) -> bool:
-        size = len(value_of(self.x))
-        return size == self.bound if self.exact else size <= self.bound
 
 
 class UnionEquals(Propagator):
@@ -112,26 +77,39 @@ def incidence(n: int, edges: list[tuple[int, int]]) -> tuple[list[int], list[int
 
 
 class EdgeInNode(Propagator):
-    """Edge e is in the node's edge set <=> both endpoints of e are in
-    its vertex set, for every edge e of the graph that ``incidence``
-    describes. Reads and prunes whole masks: an edge with an endpoint
-    the node cannot hold leaves the edge set, and one whose endpoints
-    the node both requires joins it; an edge the edge set requires puts
-    its endpoints into the node, and one it excludes keeps the other
-    endpoint of a required one out."""
+    """The node holds at most w vertices, or with ``exact`` exactly w,
+    and edge e is in its edge set <=> both endpoints of e are in its
+    vertex set, for every edge e of the graph that ``incidence``
+    describes (with no edges, the width rule alone). Reads and prunes
+    whole masks: a node that requires w vertices holds no other, and
+    with ``exact`` one that can hold only w requires them all; an edge
+    with an endpoint the node cannot hold leaves the edge set, and one
+    whose endpoints the node both requires joins it; an edge the edge
+    set requires puts its endpoints into the node, and one it excludes
+    keeps the other endpoint of a required one out."""
 
-    __slots__ = ("node", "edge_set", "ends", "incident")
+    __slots__ = ("node", "edge_set", "ends", "incident", "w", "exact")
     idempotent = True
 
-    def __init__(self, node: SetVar, edge_set: SetVar, ends: list[int], incident: list[int]):
+    def __init__(
+        self,
+        node: SetVar,
+        edge_set: SetVar,
+        ends: list[int],
+        incident: list[int],
+        w: int,
+        exact: bool = False,
+    ):
         super().__init__([node, edge_set])
         self.node = node
         self.edge_set = edge_set
         self.ends = ends
         self.incident = incident
+        self.w = w
+        self.exact = exact
 
     def propagate(self) -> None:
-        node, edge_set = self.node, self.edge_set
+        node, edge_set, w, exact = self.node, self.edge_set, self.w, self.exact
         incident = self.incident
         taken = edge_set.required
         if taken:
@@ -144,27 +122,43 @@ class EdgeInNode(Propagator):
                 if incident[low.bit_length() - 1] & taken:
                     need |= low
             node.require_mask(need)
-        inside = node.required
-        within = 0  # edges with both endpoints required
-        touched = 0  # edges with an endpoint required
-        rest = inside
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            at_v = incident[low.bit_length() - 1]
-            within |= at_v & touched
-            touched |= at_v
-        # an excluded edge at a required vertex keeps its other end out
-        cut = touched & ~edge_set.possible
-        if cut:
+        while True:
+            inside = node.required
+            count = inside.bit_count()
+            if count > w:
+                raise Inconsistent
+            if count == w:
+                node.restrict(inside)
+            if exact:
+                count = node.possible.bit_count()
+                if count < w:
+                    raise Inconsistent
+                if count == w:
+                    node.require_mask(node.possible)
+                    inside = node.required
+            within = 0  # edges with both endpoints required
+            touched = 0  # edges with an endpoint required
+            rest = inside
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                at_v = incident[low.bit_length() - 1]
+                within |= at_v & touched
+                touched |= at_v
+            # an excluded edge at a required vertex keeps its other end out
+            cut = touched & ~edge_set.possible
             forbid = 0
-            rest = node.possible & ~inside
+            rest = node.possible & ~inside if cut else 0
             while rest:
                 low = rest & -rest
                 rest ^= low
                 if incident[low.bit_length() - 1] & cut:
                     forbid |= low
             node.restrict(~forbid)
+            # with ``exact``, a node cut down to w vertices requires them
+            # all: once more for the edges among them
+            if not (exact and forbid) or node.possible.bit_count() > w:
+                break
         # an endpoint the node cannot hold keeps the edge out
         drop = 0
         rest = node.universe & ~node.possible
@@ -177,6 +171,8 @@ class EdgeInNode(Propagator):
 
     def satisfied(self, value_of) -> bool:
         members = value_of(self.node)
+        if len(members) > self.w or self.exact and len(members) < self.w:
+            return False
         inside = {e for e, uv in enumerate(self.ends) if set(bits_of(uv)) <= members}
         return value_of(self.edge_set) == inside
 

@@ -9,6 +9,7 @@ import random
 from tdsolve.engine import SolveReport, Solver
 from tdsolve.graphs import Graph, TreeDecomposition
 from tdsolve.model import Variant, build_model
+from tdsolve.propagators import EdgeInNode, incidence
 
 
 def decomposition(nodes, parent):
@@ -180,25 +181,24 @@ def assignment_within_bounds(solver: Solver, assignment) -> bool:
     return True
 
 
+def width_rule(solver: Solver, x, w, exact=False) -> EdgeInNode:
+    """An ``EdgeInNode`` over no edges: at most w elements in x, or
+    exactly w with ``exact``. Adds the empty edge set to the solver."""
+    return EdgeInNode(x, solver.set_var(0), *incidence(x.universe.bit_length(), []), w, exact)
+
+
 def random_constraint_instance(rng: random.Random) -> Solver:
     """A solver with one random propagator over small random domains;
     cycles through every propagator kind."""
-    from tdsolve.propagators import (
-        CardinalityAtMost,
-        EdgeInNode,
-        LexLeq,
-        PathIntersection,
-        RunningIntersection,
-        UnionEquals,
-        incidence,
-    )
+    from tdsolve.propagators import LexLeq, PathIntersection, RunningIntersection, UnionEquals
 
     s = Solver()
     kind = rng.randrange(8)
     if kind == 0:
+        # an edgeless node: the width rule alone
         x = s.set_var(4)
         tighten_randomly(s, rng)
-        s.post(CardinalityAtMost(x, rng.randint(0, 3), exact=rng.random() < 0.5))
+        s.post(width_rule(s, x, rng.randint(0, 4), exact=rng.random() < 0.5))
     elif kind == 1:
         xs = [s.set_var(3) for _ in range(rng.randint(1, 3))]
         tighten_randomly(s, rng)
@@ -213,7 +213,7 @@ def random_constraint_instance(rng: random.Random) -> Solver:
         x = s.set_var(n)
         edge_set = s.set_var(len(edges))
         tighten_randomly(s, rng)
-        s.post(EdgeInNode(x, edge_set, *incidence(n, edges)))
+        s.post(EdgeInNode(x, edge_set, *incidence(n, edges), rng.randint(0, n), rng.random() < 0.5))
     elif kind == 3:
         # the edge sets of a few nodes, which must hold every edge
         size = rng.randint(1, 4)

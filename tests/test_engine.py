@@ -6,9 +6,9 @@ import random
 
 import pytest
 
-from helpers import snapshot, solutions_within, solved_assignment, tighten_randomly
+from helpers import snapshot, solutions_within, solved_assignment, tighten_randomly, width_rule
 from tdsolve.engine import Inconsistent, Propagator, Solver, Status
-from tdsolve.propagators import CardinalityAtMost, UnionEquals
+from tdsolve.propagators import UnionEquals
 
 
 class Implies(Propagator):
@@ -43,7 +43,7 @@ def test_cardinality_zero_with_required_element_fails():
     s = Solver()
     x = s.set_var(1)
     x.require_mask(0b1)
-    s.post(CardinalityAtMost(x, 0))
+    s.post(width_rule(s, x, 0))
     assert not s.propagate()
 
 
@@ -87,7 +87,7 @@ def test_witness_satisfies_all_constraints():
     b = s.set_var(2)
     c = s.set_var(2)
     s.post(UnionEquals([a, b, c], 0b11))
-    s.post(CardinalityAtMost(b, 1))
+    s.post(width_rule(s, b, 1))
     a.restrict(0b10)
     report = s.solve(decision_vars=[a, b, c])
     assert report.status is Status.SAT
@@ -203,7 +203,7 @@ def test_fixpoint_idempotent():
     s = Solver()
     xs = [s.set_var(3) for _ in range(2)]
     s.post(UnionEquals(xs, 0b111))
-    s.post(CardinalityAtMost(xs[0], 1))
+    s.post(width_rule(s, xs[0], 1))
     assert s.propagate()
     before = snapshot(s)
     for prop in s.propagators:
@@ -283,7 +283,7 @@ def _random_micro_model(rng):
     if len(bits) >= 2 and rng.random() < 0.7:
         s.post(Implies(bits[0], bits[1]))
     if rng.random() < 0.7:
-        s.post(CardinalityAtMost(sets[0], rng.randint(0, 2)))
+        s.post(width_rule(s, sets[0], rng.randint(0, 2)))
     if len(sets) >= 2 and rng.random() < 0.5:
         s.post(UnionEquals(sets, sets[0].possible | sets[1].possible))
     # value removals and assignments that would empty a domain at build
@@ -354,7 +354,7 @@ def test_deterministic_statistics():
         xs = [s.set_var(4) for _ in range(3)]
         s.post(UnionEquals(xs, 0b1111))
         for x in xs:
-            s.post(CardinalityAtMost(x, 2))
+            s.post(width_rule(s, x, 2))
         report = s.solve(s.int_vars)
         return report.status, report.decisions, report.propagations, report.fails
 

@@ -55,10 +55,10 @@ def test_size_formulas(m):
     assert len(mi.solver.set_vars) == 2 * m
     assert len(mi.solver.int_vars) == 2 * m  # parents and depths
     assert lex_count(mi) == m - 1
-    # per node: cardinality and the edge channel; per child node: lex;
-    # one running intersection, the union of the node sets and the
-    # union of the edge sets
-    assert len(mi.solver.propagators) == 2 * m + (m - 1) + 3
+    # per node: the width and edge channel; per child node: lex; one
+    # running intersection, the union of the node sets and the union of
+    # the edge sets
+    assert len(mi.solver.propagators) == m + (m - 1) + 3
     assert [type(p) for p in mi.solver.propagators].count(RunningIntersection) == 1
     assert mi.decision_vars == mi.parents + mi.edge_sets
 
@@ -79,7 +79,7 @@ def test_path_size_formulas(smooth):
     assert mi.parents == mi.solver.int_vars == []
     kinds = [type(p) for p in mi.solver.propagators]
     assert kinds.count(PathIntersection) == 1 and RunningIntersection not in kinds
-    assert len(kinds) == 2 * 4 + 4  # cardinality and channel per node, two unions, chain, lex
+    assert len(kinds) == 4 + 4  # width and channel per node, two unions, chain, lex
     assert all(p.smooth is smooth for p in mi.solver.propagators if isinstance(p, PathIntersection))
 
 
@@ -92,9 +92,9 @@ def _watcher_entries(solver):
 def test_models_grow_linearly_in_m():
     # the tree's running intersection and the path chain each subscribe
     # once per variable, so every variable has a constant number of
-    # watchers: 13 per node on a tree, 9 on a path
+    # watchers: 12 per node on a tree, 8 on a path
     g = path_graph(3)
-    bound = {Variant.TREE: 14, Variant.PATH: 10}
+    bound = {Variant.TREE: 13, Variant.PATH: 9}
     for variant, m in itertools.product(Variant, (10, 100, 400)):
         mi = build_model(g, m=m, w=2, variant=variant)
         assert _watcher_entries(mi.solver) < bound[variant] * m, (variant, m)
@@ -348,6 +348,20 @@ def test_encoding_keeps_the_nodes_as_given():
     assert report.status is Status.SAT
     assert extract_decomposition(mi) == given
     assert mi.solver.check_witness(solved_assignment(mi.solver))
+
+
+def test_a_model_built_around_a_decomposition_of_another_node_count_is_refused():
+    # node set i is fixed to node i, so a td of fewer nodes than m would
+    # be read past its end, and one of more would lose the extra nodes
+    # and could be confirmed: the path 0-1-2 around {0, 1, 2}, {1, 2}
+    # at m = 1
+    g = path_graph(3)
+    pair = decomposition([{0, 1, 2}, {1, 2}], [0, 0])
+    for m, w, td in [(3, 2, pair), (1, 3, pair), (2, 3, decomposition(pair.nodes, [0]))]:
+        for variant in Variant:
+            with pytest.raises(ValueError, match=f"around has {td.m} nodes and "):
+                build_model(g, m, w, variant=variant, around=td)
+    assert build_model(g, 2, 3, around=pair).solver.solve([], decision_limit=0).status is Status.SAT
 
 
 def test_confirm_refuses_what_is_no_decomposition_of_the_instance():

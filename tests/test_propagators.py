@@ -9,15 +9,18 @@ import pytest
 
 from helpers import (
     assignment_within_bounds,
+    draw_graph,
     random_constraint_instance,
     snapshot,
     solutions_within,
     tighten_randomly,
+    width_rule,
 )
 from tdsolve import propagators
-from tdsolve.engine import Inconsistent, Propagator, Solver
+from tdsolve.driver import decide
+from tdsolve.engine import Inconsistent, Propagator, Solver, Status
+from tdsolve.model import Variant
 from tdsolve.propagators import (
-    CardinalityAtMost,
     EdgeInNode,
     LexLeq,
     PathIntersection,
@@ -31,7 +34,7 @@ def test_cardinality_tightens_to_required():
     s = Solver()
     x = s.set_var(4)
     x.require_mask(0b0110)  # {1, 2}
-    s.post(CardinalityAtMost(x, 2))
+    s.post(width_rule(s, x, 2))
     assert s.propagate()
     assert x.value() == frozenset({1, 2})
 
@@ -40,14 +43,14 @@ def test_cardinality_overfull_fails():
     s = Solver()
     x = s.set_var(4)
     x.require_mask(0b1110)
-    s.post(CardinalityAtMost(x, 2))
+    s.post(width_rule(s, x, 2))
     assert not s.propagate()
 
 
 def test_cardinality_slack_changes_nothing():
     s = Solver()
     x = s.set_var(3)
-    s.post(CardinalityAtMost(x, 3))
+    s.post(width_rule(s, x, 3))
     assert s.propagate()
     assert x.required == 0 and x.possible == 0b111
 
@@ -56,7 +59,7 @@ def test_exact_cardinality_takes_every_possible_element():
     s = Solver()
     x = s.set_var(4)
     x.restrict(0b1011)
-    s.post(CardinalityAtMost(x, 3, exact=True))
+    s.post(width_rule(s, x, 3, exact=True))
     assert s.propagate()
     assert x.value() == frozenset({0, 1, 3})
 
@@ -64,7 +67,7 @@ def test_exact_cardinality_takes_every_possible_element():
 def test_exact_cardinality_fails_short_and_wakes_on_possible():
     s = Solver()
     x = s.set_var(4)
-    s.post(CardinalityAtMost(x, 3, exact=True))
+    s.post(width_rule(s, x, 3, exact=True))
     assert s.propagate() and x.required == 0
     x.exclude(0)  # a possible event alone completes the count
     assert s.propagate()
@@ -72,17 +75,19 @@ def test_exact_cardinality_fails_short_and_wakes_on_possible():
     s2 = Solver()
     x2 = s2.set_var(4)
     x2.restrict(0b0011)
-    s2.post(CardinalityAtMost(x2, 3, exact=True))
+    s2.post(width_rule(s2, x2, 3, exact=True))
     assert not s2.propagate()
 
 
 def test_exact_cardinality_satisfied_needs_the_exact_count():
     s = Solver()
     x = s.set_var(3)
-    at_most, exact = CardinalityAtMost(x, 2), CardinalityAtMost(x, 2, exact=True)
-    assert at_most.satisfied({x: frozenset({0})}.__getitem__)
-    assert not exact.satisfied({x: frozenset({0})}.__getitem__)
-    assert exact.satisfied({x: frozenset({0, 2})}.__getitem__)
+    at_most, exact = width_rule(s, x, 2), width_rule(s, x, 2, exact=True)
+    none = {at_most.edge_set: frozenset(), exact.edge_set: frozenset()}
+    assert at_most.satisfied({**none, x: frozenset({0})}.__getitem__)
+    assert not at_most.satisfied({**none, x: frozenset({0, 1, 2})}.__getitem__)
+    assert not exact.satisfied({**none, x: frozenset({0})}.__getitem__)
+    assert exact.satisfied({**none, x: frozenset({0, 2})}.__getitem__)
 
 
 def test_union_forces_last_support():
@@ -115,11 +120,11 @@ def test_union_two_supports_no_change():
 CHANNEL_EDGES = [(0, 1), (0, 2), (1, 2), (2, 3)]
 
 
-def _channel():
+def _channel(w=4, exact=False):
     s = Solver()
     x = s.set_var(4)
     edge_set = s.set_var(len(CHANNEL_EDGES))
-    return s, x, edge_set, EdgeInNode(x, edge_set, *incidence(4, CHANNEL_EDGES))
+    return s, x, edge_set, EdgeInNode(x, edge_set, *incidence(4, CHANNEL_EDGES), w, exact)
 
 
 def test_incidence_masks():
@@ -182,6 +187,31 @@ def test_edge_in_node_satisfied_reads_both_sets():
     assert prop.satisfied({**value, edge_set: frozenset({0, 1, 2})}.__getitem__)
     assert not prop.satisfied({**value, edge_set: frozenset({0, 1})}.__getitem__)
     assert not prop.satisfied({**value, edge_set: frozenset({0, 1, 2, 3})}.__getitem__)
+
+
+def test_edge_in_node_width_drops_the_edges_at_what_a_full_node_leaves_out():
+    # two required vertices fill a node of width 2: vertices 2 and 3
+    # leave it, and with them every edge but (0, 1), which joins it
+    s, x, edge_set, prop = _channel(w=2)
+    x.require_mask(0b0011)
+    s.post(prop)
+    assert s.propagate()
+    assert x.possible == 0b0011
+    assert edge_set.required == edge_set.possible == 0b0001
+
+
+def test_edge_in_node_exact_node_cut_to_its_width_takes_the_edges_within():
+    # the excluded edge (0, 2) at required vertex 0 keeps vertex 2 out,
+    # which leaves exactly w = 3 vertices: the node requires them all,
+    # and so the edge (0, 1) among them, in the same call
+    s, x, edge_set, prop = _channel(w=3, exact=True)
+    x.include(0)
+    edge_set.exclude(1)
+    s.post(prop)
+    assert s.propagate()
+    assert x.value() == frozenset({0, 1, 3})
+    assert edge_set.value() == frozenset({0})
+    assert s.propagations == 1
 
 
 def test_union_of_edge_sets_places_every_edge():
@@ -646,4 +676,34 @@ def test_idempotent_propagators_reach_their_own_fixpoint_in_one_call(seed):
             before = snapshot(s)
             prop.propagate()
             assert snapshot(s) == before, type(prop).__name__
-    assert seen == IDEMPOTENT == {CardinalityAtMost, EdgeInNode}
+    assert seen == IDEMPOTENT == {EdgeInNode}
+
+
+@pytest.mark.parametrize(
+    "graph, m, w, variant, decisions",
+    [
+        (draw_graph(9, 907, 0.7, 17), 4, 6, Variant.TREE, 3070),
+        (draw_graph(9, 905, 0.5, 84), 5, 5, Variant.PATH, 740),
+    ],
+    ids=["tree17", "path84"],
+)
+def test_wrapped_propagate_calls_add_up_to_the_engine_count(
+    monkeypatch, graph, m, w, variant, decisions
+):
+    # bench/tracer.py wraps every propagator class's propagate and
+    # checks that the wrapped calls equal the engine's propagations; a
+    # propagator that re-entered its own propagate to reach its
+    # fixpoint would be counted more than once
+    calls = 0
+    for cls in vars(propagators).values():
+        if isinstance(cls, type) and issubclass(cls, Propagator) and cls is not Propagator:
+
+            def counted(prop, original=cls.propagate):
+                nonlocal calls
+                calls += 1
+                original(prop)
+
+            monkeypatch.setattr(cls, "propagate", counted)
+    step = decide(graph, m, w, variant)
+    assert (step.status, step.report.decisions) == (Status.UNSAT, decisions)
+    assert calls == step.report.propagations
